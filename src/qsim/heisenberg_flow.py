@@ -263,6 +263,22 @@ class CopyReport:
         }
 
 
+def _copies_labels(phases: np.ndarray, dependence_tol: float = 1e-9) -> bool:
+    """Does U = sum_ab exp(i phases[a, b]) P_1a x P_2b copy the row labels a?
+
+    The dyadic X_2cd of the column subsystem evolves into
+    sum_a exp(i (phases[a, d] - phases[a, c])) P_1a x X_2cd, so it carries
+    the row labels exactly when that phase difference varies with a for
+    some pair (c, d).  Pass phases.T for the reverse direction.
+    """
+    n = phases.shape[1]
+    return any(
+        _phase_spread(phases[:, d] - phases[:, c]) > dependence_tol
+        for c in range(n)
+        for d in range(n)
+    )
+
+
 def analyze_copy(ci: CopyInteraction, dependence_tol: float = 1e-9) -> CopyReport:
     """Evolve every S2 dyadic and record its dependence on the S1 projectors.
 
@@ -278,7 +294,6 @@ def analyze_copy(ci: CopyInteraction, dependence_tol: float = 1e-9) -> CopyRepor
     n2 = len(ci.proj2)
     table = []
     max_residual = 0.0
-    copied_labels_1 = set()
     for c in range(n2):
         for d in range(n2):
             # one representative dyadic per (c, d) block pair
@@ -286,25 +301,16 @@ def analyze_copy(ci: CopyInteraction, dependence_tol: float = 1e-9) -> CopyRepor
             vd = basis2[:, groups2[d][0]]
             x_cd = np.outer(vc, vd.conj())
             phases = ci.phases[:, d] - ci.phases[:, c]
-            predicted = np.zeros((u.shape[0], u.shape[0]), dtype=complex)
-            for a, pa in enumerate(ci.proj1.projectors):
-                predicted += np.exp(1j * phases[a]) * tensor_product(pa, x_cd)
+            weighted = sum(
+                np.exp(1j * phases[a]) * pa for a, pa in enumerate(ci.proj1.projectors)
+            )
+            predicted = tensor_product(weighted, x_cd)
             brute = dagger(u) @ tensor_product(i1, x_cd) @ u
             max_residual = max(max_residual, max_abs(predicted - brute))
             copied = _phase_spread(phases) > dependence_tol
-            if copied:
-                copied_labels_1.update(ci.proj1.labels)
             table.append(DyadicEntry(c, d, tuple(float(p) % (2 * np.pi) for p in phases), copied))
-    # reverse direction: S1 dyadics pick up phases phi_cb - ... across b
-    copied_labels_2 = set()
-    n1 = len(ci.proj1)
-    for c in range(n1):
-        for d in range(n1):
-            phases = ci.phases[d, :] - ci.phases[c, :]
-            if _phase_spread(phases) > dependence_tol:
-                copied_labels_2.update(ci.proj2.labels)
-    copied_into_2 = tuple(l for l in ci.proj1.labels if l in copied_labels_1)
-    copied_into_1 = tuple(l for l in ci.proj2.labels if l in copied_labels_2)
+    copied_into_2 = ci.proj1.labels if _copies_labels(ci.phases, dependence_tol) else ()
+    copied_into_1 = ci.proj2.labels if _copies_labels(ci.phases.T, dependence_tol) else ()
     return CopyReport(tuple(table), copied_into_2, copied_into_1, max_residual)
 
 
@@ -319,6 +325,12 @@ class CopiableFamilies:
     families: tuple[ProjectorSet, ...]
     only_trivial: bool
     degenerate_identity: bool  # every S1 observable is invariant (no interaction)
+
+
+def _atom_order_key(p: np.ndarray) -> tuple:
+    """Sort key of the canonical atom order (see copiable_projector_families)."""
+    r = np.round(p, 9)
+    return tuple(-np.concatenate([np.diag(r).real, r.real.ravel(), r.imag.ravel()]))
 
 
 def _fixed_s1_operator_space(u: UnitaryOperator) -> list[np.ndarray]:
@@ -336,11 +348,10 @@ def _fixed_s1_operator_space(u: UnitaryOperator) -> list[np.ndarray]:
             lifted = np.kron(e, i2)
             cols.append((dagger(um) @ lifted @ um - lifted).flatten())
     m = np.column_stack(cols)
-    _, s, vh = np.linalg.svd(m)
-    null_mask = np.zeros(d1 * d1, dtype=bool)
-    null_mask[len(s):] = True
-    null_mask[: len(s)] = s < 1e-10
-    basis = [vh[k].conj().reshape(d1, d1) for k in range(d1 * d1) if null_mask[k]]
+    # m has d1^2 d2^2 >= d1^2 rows, so the thin SVD already holds every
+    # right singular vector; U itself is never read
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    basis = [vh[k].conj().reshape(d1, d1) for k in np.flatnonzero(s < 1e-10)]
     # the fixed space is *-closed; split into Hermitian generators
     herm = []
     for a in basis:
@@ -363,6 +374,11 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
     The invariant S1 operators form a *-algebra; the atoms of its center
     are the finest invariant projector family, and every coarse-graining of
     an invariant family is again invariant.
+
+    The atoms come in a canonical order, independent of the null-space basis
+    LAPACK returns: descending by their diagonal, ties broken descending by
+    the row-major real entries and then the imaginary entries, all rounded
+    to 9 decimals.  So |0><0| precedes |1><1|, and |+><+| precedes |-><-|.
     """
     d1 = u.layout.factor_dims[0]
     fixed = _fixed_s1_operator_space(u)
@@ -376,8 +392,8 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
     m = np.column_stack([c for c in cols])
     # solve for real coefficient vectors x with sum_k x_k [H_k, G] = 0 for all G
     mr = np.vstack([m.real, m.imag])
-    _, s, vh = np.linalg.svd(mr, full_matrices=True)
-    nullity = sum(1 for k in range(len(fixed)) if k >= len(s) or s[k] < 1e-10)
+    _, s, vh = np.linalg.svd(mr, full_matrices=False)
+    nullity = int(np.count_nonzero(s < 1e-10))
     center = [
         sum(vh[len(fixed) - 1 - k][j] * fixed[j] for j in range(len(fixed)))
         for k in range(nullity)
@@ -397,8 +413,8 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
                 projs.append(vecs @ dagger(vecs))
                 start = k
         try:
-            family = ProjectorSet(tuple(projs))
-        except Exception:
+            family = ProjectorSet(tuple(sorted(projs, key=_atom_order_key)))
+        except ValidationError:
             continue
         i2 = np.eye(u.layout.factor_dims[1], dtype=complex)
         ok = all(
@@ -407,6 +423,8 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
         )
         if ok and (best is None or len(family) > len(best)):
             best = family
+            if len(best) == d1:
+                break  # rank-1 atoms: no later attempt can be finer
     if best is None:
         best = ProjectorSet((np.eye(d1, dtype=complex),))
     return CopiableFamilies(
@@ -526,9 +544,8 @@ def branch_decomposition(
             reduced = np.einsum("ikjk->ij", block.reshape(dims + dims))
             cross1 = max(cross1, max_abs(reduced))
     # interference visible on S2 alone, blocks taken in the copied basis of S2
-    report = analyze_copy(ci)
     cross2 = 0.0
-    if report.copied_into_2:
+    if _copies_labels(ci.phases):
         basis2, groups2 = _block_basis(ci.proj2)
         rho2 = partial_trace_matrix(rho_out.mat, dims, keep=(1,))
         rho2_blocks = dagger(basis2) @ rho2 @ basis2

@@ -58,6 +58,10 @@ def _register(property_id: str, default_trials: int):
     return deco
 
 
+# false-alarm rate of the frequency-concentration property
+FREQ_DELTA = 1e-9
+
+
 def _random_dim(rng, lo=2, hi=8) -> int:
     return int(rng.integers(lo, hi + 1))
 
@@ -239,7 +243,7 @@ def _p_update(rng):
         expected = float(np.trace(evolved_state.as_density() @ q).real)
         try:
             _, w = dp.relative_state_update(v, ci, label)
-        except Exception:
+        except dp.ImpossibleOutcomeError:
             w = 0.0
         worst = max(worst, abs(w - expected))
     return worst, 1e-10
@@ -258,10 +262,11 @@ def _p_freq(rng):
     ps = oc.random_projector_set(dim, [1] * dim, rng)
     a = dp.PayoffObservable(tuple(range(dim)), ps)
     seed = int(rng.integers(0, 2**32))
-    small = dp.frequency_experiment(v, a, 100, seed)
-    big = dp.frequency_experiment(v, a, 10_000, seed)
-    # violation when the large run is not tighter than the small one
-    return float(big.max_deviation - small.max_deviation), 0.0
+    n = 10_000
+    report = dp.frequency_experiment(v, a, n, seed)
+    # Hoeffding per outcome, union bound over the dim outcomes:
+    # P(max_k |f_k - w_k| >= t) <= 2 dim exp(-2 n t^2) = FREQ_DELTA
+    return report.max_deviation, float(np.sqrt(np.log(2 * dim / FREQ_DELTA) / (2 * n)))
 
 
 @_register("payoff.update_chain_rule", 50)

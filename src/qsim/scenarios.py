@@ -141,6 +141,10 @@ def _run_trials(seed: int, n: int, fn, parallel: bool = False) -> list:
 
 
 def _scenario_copy_demo(cfg: ScenarioConfig):
+    if len(cfg.dims) != 2:
+        raise UsageError(
+            f"copy-demo needs exactly two factor dims, each >= 2, got {list(cfg.dims)}"
+        )
     if tuple(cfg.dims) == (2, 2):
         ci = hf.cnot_interaction()
     else:

@@ -44,6 +44,14 @@ class TestExitCodes:
         assert code == 3
         assert "capacity" in err
 
+    @pytest.mark.parametrize("dims", ["3", "2,2,2"])
+    def test_copy_demo_needs_two_dims(self, capsys, monkeypatch, dims):
+        code, out, err = run_cli(["copy-demo", "--dims", dims], capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qsim: error: copy-demo needs exactly two factor dims")
+        assert err.count("\n") == 1
+
     def test_property_failure_is_exit_1(self, capsys, monkeypatch):
         broken = dict(properties.REGISTRY)
 
@@ -218,3 +226,26 @@ class TestPropertySuite:
         lines = out.splitlines()
         assert lines[0] == "property_id,trials,violations,worst_residual,status"
         assert all(line.endswith("pass") for line in lines[1:])
+
+
+class TestPropertyChecks:
+    @pytest.mark.parametrize("seed", [16, 31, 35])
+    def test_frequency_property_holds_at_former_failing_seeds(
+        self, capsys, monkeypatch, seed
+    ):
+        # these seeds broke the old "large run beats small run" comparison
+        pid = "payoff.frequency_deviation_shrinks"
+        monkeypatch.setattr(properties, "REGISTRY", {pid: properties.REGISTRY[pid]})
+        code, out, _ = run_cli(["property-suite", "--seed", str(seed)], capsys, monkeypatch)
+        assert code == 0
+        (prop,) = json.loads(out)["results"]["properties"]
+        assert prop["status"] == "pass" and prop["trials"] == 5
+
+    def test_update_weight_propagates_unrelated_errors(self, monkeypatch):
+        def broken(v, ci, label):
+            raise RuntimeError("not an impossible outcome")
+
+        monkeypatch.setattr(properties.dp, "relative_state_update", broken)
+        _, runner = properties.REGISTRY["payoff.update_weight_consistent"]
+        with pytest.raises(RuntimeError):
+            runner(1, 1)

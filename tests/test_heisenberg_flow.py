@@ -187,6 +187,15 @@ class TestAnalyzeCopy:
             ci = random_copy_interaction(substream(21, 100 + k), 3, 2)
             assert hf.analyze_copy(ci).max_residual <= 1e-9
 
+    def test_copied_labels_match_dyadic_table(self):
+        for k in range(10):
+            ci = random_copy_interaction(substream(21, 200 + k), 3, 2)
+            report = hf.analyze_copy(ci)
+            assert bool(report.copied_into_2) == any(e.copied for e in report.dyadic_table)
+        p = oc.computational_projectors(2)
+        report = hf.analyze_copy(hf.build_copy_unitary(np.full((2, 2), 0.7), p, p))
+        assert not any(e.copied for e in report.dyadic_table)
+
     def test_report_serializes(self):
         report = hf.analyze_copy(hf.cnot_interaction())
         doc = report.to_json()
@@ -234,6 +243,92 @@ class TestCopiableFamilies:
         for p in merged.projectors:
             lifted = np.kron(p, i2)
             assert oc.max_abs(u.conj().T @ lifted @ u - lifted) <= 1e-9
+
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        u = hf.cnot_interaction().unitary
+        real = oc.ProjectorSet
+
+        def broken(projs, labels=()):
+            if len(projs) > 1:
+                raise RuntimeError("not a validation failure")
+            return real(projs, labels)
+
+        monkeypatch.setattr(hf, "ProjectorSet", broken)
+        with pytest.raises(RuntimeError):
+            hf.copiable_projector_families(u)
+
+    def test_rejected_candidate_falls_back_to_trivial(self, monkeypatch):
+        u = hf.cnot_interaction().unitary
+        real = oc.ProjectorSet
+
+        def rejecting(projs, labels=()):
+            if len(projs) > 1:
+                raise ValidationError("candidate rejected")
+            return real(projs, labels)
+
+        monkeypatch.setattr(hf, "ProjectorSet", rejecting)
+        assert hf.copiable_projector_families(u).only_trivial
+
+
+def _atom_key(p):
+    """The documented atom order: descending diagonal, then real, then imaginary."""
+    return (
+        tuple(-np.round(np.diag(p).real, 9))
+        + tuple(-np.round(p.real, 9).ravel())
+        + tuple(-np.round(p.imag, 9).ravel())
+    )
+
+
+class TestFixedSpaceAndAtomOrder:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_thin_null_space_matches_full_svd(self, d):
+        u = random_copy_interaction(substream(23, d), d, d).unitary
+        fixed = hf._fixed_s1_operator_space(u)
+        # reference: null space of the same map from a full SVD
+        um = u.mat
+        cols = []
+        for k in range(d * d):
+            e = np.zeros(d * d, dtype=complex)
+            e[k] = 1.0
+            lifted = np.kron(e.reshape(d, d), np.eye(d))
+            cols.append((um.conj().T @ lifted @ um - lifted).ravel())
+        _, s, vh = np.linalg.svd(np.column_stack(cols), full_matrices=True)
+        null = vh[s < 1e-10].conj().T
+        ref = null @ null.conj().T
+        q, _ = np.linalg.qr(np.column_stack([h.ravel() for h in fixed]))
+        assert q.shape[1] == null.shape[1] == d
+        assert oc.max_abs(q @ q.conj().T - ref) <= 1e-9
+
+    def test_random_8x8_atoms_invariant_and_sorted(self):
+        # the copy-demo construction for --dims 8,8 --seed 7
+        rng = substream(7, 0)
+        p1 = oc.random_projector_set(8, [1] * 8, rng)
+        p2 = oc.random_projector_set(8, [1] * 8, rng)
+        ci = hf.build_copy_unitary(rng.uniform(0, 2 * np.pi, size=(8, 8)), p1, p2)
+        (fam,) = hf.copiable_projector_families(ci.unitary).families
+        assert fam.ranks() == (1,) * 8
+        u = ci.unitary.mat
+        for p in fam.projectors:
+            lifted = np.kron(p, np.eye(8))
+            assert oc.max_abs(u.conj().T @ lifted @ u - lifted) <= 1e-9
+        keys = [_atom_key(p) for p in fam.projectors]
+        assert keys == sorted(keys)
+
+    def test_cnot_family_keeps_zero_first(self):
+        (fam,) = hf.copiable_projector_families(hf.cnot_interaction().unitary).families
+        np.testing.assert_allclose(fam.projectors[0], np.diag([1.0, 0.0]), atol=1e-9)
+        np.testing.assert_allclose(fam.projectors[1], np.diag([0.0, 1.0]), atol=1e-9)
+
+    def test_equal_diagonals_sort_plus_before_minus(self):
+        p1 = oc.ProjectorSet.from_basis(HADAMARD, labels=("+", "-"))
+        ci = hf.build_copy_unitary(
+            np.array([[0.0, 0.0], [0.0, np.pi]]), p1, oc.computational_projectors(2)
+        )
+        (fam,) = hf.copiable_projector_families(ci.unitary).families
+        plus, minus = HADAMARD[:, 0], HADAMARD[:, 1]
+        np.testing.assert_allclose(fam.projectors[0], np.outer(plus, plus), atol=1e-9)
+        np.testing.assert_allclose(fam.projectors[1], np.outer(minus, minus), atol=1e-9)
 
 
 class TestNoCloning:
