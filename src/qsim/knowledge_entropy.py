@@ -8,6 +8,7 @@ theta-family, with the per-subsystem entropy change they induce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,9 @@ from .operator_core import (
     DensityMatrix,
     ProjectorSet,
     SubsystemLayout,
-    as_matrix,
+    check_density_stack,
     dagger,
+    first_trial,
     hermitian_eigendecomposition,
     max_abs,
     partial_trace,
@@ -35,9 +37,31 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     evals = np.linalg.eigvalsh(rho.mat)
     if evals.min() < -TAU_PSD:
         raise ValidationError(f"state has eigenvalue {evals.min()} < 0")
+    return _entropy_bits(evals)
+
+
+def _entropy_bits(evals: np.ndarray) -> float:
+    """-sum_k l_k log2 l_k over the eigenvalues above EIGENVALUE_CLAMP, in bits."""
     evals = np.clip(evals, 0.0, None)
     nz = evals[evals > EIGENVALUE_CLAMP]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def _spectral_entropies(evals: np.ndarray) -> np.ndarray:
+    """_entropy_bits of each row of an eigenvalue stack (N, n).
+
+    Rows that keep every eigenvalue are summed as one array, which gives
+    the bits of a row-by-row sum.  A row that drops some goes through
+    _entropy_bits: numpy's pairwise sum groups a shorter row differently,
+    so zero-padding it would change the last bits.
+    """
+    whole = (evals > EIGENVALUE_CLAMP).all(axis=-1)
+    x = evals[whole]
+    out = np.empty(len(evals))
+    out[whole] = -np.sum(x * np.log2(x), axis=-1)
+    for i in np.flatnonzero(~whole):
+        out[i] = _entropy_bits(evals[i])
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,13 +111,30 @@ class KnowledgeState:
         object.__setattr__(self, "p_ab", p)
 
     def realized_density(self) -> DensityMatrix:
-        d = self.layout.total_dim
-        out = np.zeros((d, d), dtype=complex)
-        for a in range(self.p_ab.shape[0]):
-            for b in range(self.p_ab.shape[1]):
-                ket = np.kron(self.basis1[:, a], self.basis2[:, b])
-                out += self.p_ab[a, b] * np.outer(ket, ket.conj())
-        return DensityMatrix(self.layout, out)
+        kets = _product_kets(self.basis1, self.basis2, *self.p_ab.shape)
+        return DensityMatrix(self.layout, _weighted_dyads(self.p_ab[None], kets[None])[0])
+
+
+def _product_kets(basis1: np.ndarray, basis2: np.ndarray, na: int, nb: int) -> np.ndarray:
+    """|a>|b> for a < na, b < nb, as an (na, nb, d1*d2) array."""
+    return np.array(
+        [[np.kron(basis1[:, a], basis2[:, b]) for b in range(nb)] for a in range(na)]
+    )
+
+
+def _weighted_dyads(p: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """sum_ab p[n,a,b] |k_nab><k_nab| for each trial n, added in (a, b) row-major order.
+
+    p is (N, na, nb); kets is (N, na, nb, d), or (1, na, nb, d) when shared.
+    """
+    n, na, nb = p.shape
+    d = kets.shape[-1]
+    out = np.zeros((n, d, d), dtype=complex)
+    for a in range(na):
+        for b in range(nb):
+            k = kets[:, a, b]
+            out += p[:, a, b, None, None] * (k[:, :, None] * k.conj()[:, None, :])
+    return out
 
 
 def build_knowledge_state(p_ab: np.ndarray, dims: tuple[int, int]) -> KnowledgeState:
@@ -137,13 +178,8 @@ class ThetaFamily:
 
     def vectors(self, basis1: np.ndarray, basis2: np.ndarray) -> np.ndarray:
         """theta vectors as columns, in (a, b) row-major order."""
-        na, nb, d1, d2 = self.lam.shape
-        cols = []
-        for a in range(na):
-            for b in range(nb):
-                ket = np.einsum("cd,ic,jd->ij", self.lam[a, b], basis1, basis2)
-                cols.append(ket.reshape(-1))
-        return np.column_stack(cols)
+        na, nb = self.lam.shape[:2]
+        return _theta_kets(self.lam[None], basis1, basis2)[0].reshape(na * nb, -1).T
 
     @staticmethod
     def ideal(dims: tuple[int, int]) -> "ThetaFamily":
@@ -153,6 +189,12 @@ class ThetaFamily:
             for b in range(d2):
                 lam[a, b, a, b] = 1.0
         return ThetaFamily(lam)
+
+
+def _theta_kets(lam: np.ndarray, basis1: np.ndarray, basis2: np.ndarray) -> np.ndarray:
+    """|theta_nab> = sum_cd lam[n,a,b,c,d] |c>|d>, as an (N, na, nb, d1*d2) array."""
+    n, na, nb = lam.shape[:3]
+    return np.einsum("nabcd,ic,jd->nabij", lam, basis1, basis2).reshape(n, na, nb, -1)
 
 
 @dataclass(frozen=True)
@@ -274,13 +316,98 @@ class SelectionReport:
     formula_residual: float  # index-formula marginals vs partial trace
 
 
+@dataclass(frozen=True)
+class StackedSelection:
+    """Per-trial results of a selection stack; axis 0 indexes the trial."""
+
+    rho_t2: np.ndarray  # (N, d, d)
+    marginals: tuple[np.ndarray, ...]  # rho1(t1), rho2(t1), rho1(t2), rho2(t2)
+    entropies: np.ndarray  # (4, N): entropy of each marginal, same order
+    s_global: np.ndarray  # (N,): entropy of rho(t2)
+
+    @property
+    def ds1(self) -> np.ndarray:
+        return self.entropies[2] - self.entropies[0]
+
+    @property
+    def ds2(self) -> np.ndarray:
+        return self.entropies[3] - self.entropies[1]
+
+
+def select_stack(
+    p: np.ndarray, lam: np.ndarray, basis1: np.ndarray, basis2: np.ndarray
+) -> StackedSelection:
+    """Selections rho_n(t2) = sum_ab p_nab |theta_nab><theta_nab| for N trials at once.
+
+    p (N, na, nb) holds each trial's knowledge weights and lam
+    (N, na, nb, d1, d2) its real theta coefficients.  basis1 (d1, d1) and
+    basis2 (d2, d2) are full orthonormal bases shared by every trial; their
+    first na and nb columns are the knowledge bases.
+
+    Each stack is validated once, with the checks and tolerances of
+    KnowledgeState (weights), ThetaFamily (lambda) and DensityMatrix
+    (rho(t1), rho(t2) and the four marginals; von_neumann_entropy's PSD
+    check is the same test on the same eigenvalues).  A failure names the
+    first bad trial.  Every operation acts on each trial alone, so a trial's
+    numbers are those of a one-trial stack.
+    """
+    p = np.asarray(p, dtype=float)
+    lam = np.asarray(lam)
+    if p.ndim != 3 or p.shape[0] < 1 or lam.ndim != 5 or lam.shape[:3] != p.shape:
+        raise ValidationError(
+            f"weights {p.shape} and lambda {lam.shape} do not form a trial stack"
+        )
+    n, na, nb = p.shape
+    d1, d2 = SubsystemLayout(lam.shape[3:]).factor_dims  # capacity check
+    b1 = np.asarray(basis1, dtype=complex)
+    b2 = np.asarray(basis2, dtype=complex)
+    if b1.shape != (d1, d1) or b2.shape != (d2, d2) or na > d1 or nb > d2:
+        raise ValidationError(f"bases {b1.shape}, {b2.shape} do not match lambda {lam.shape}")
+    for b in (b1, b2):
+        if max_abs(dagger(b) @ b - np.eye(b.shape[1])) > TAU_ORTH:
+            raise ValidationError("knowledge basis is not orthonormal")
+    if (i := first_trial((p < -1e-12).any(axis=(1, 2)))) is not None:
+        raise ValidationError(f"trial {i}: weights must form a nonnegative matrix")
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=(1, 2))
+    if (i := first_trial(np.abs(total - 1.0) > 1e-10)) is not None:
+        raise ValidationError(f"trial {i}: weights sum to {total[i]}, expected 1")
+    if np.iscomplexobj(lam):
+        if (i := first_trial(np.abs(lam.imag).max(axis=(1, 2, 3, 4)) > 1e-12)) is not None:
+            raise ValidationError(f"trial {i}: lambda must be real")
+        lam = lam.real
+    lam = np.asarray(lam, dtype=float)
+    flat = lam.reshape(n, na * nb, d1 * d2)
+    orth = np.abs(flat @ flat.transpose(0, 2, 1) - np.eye(na * nb)).max(axis=(1, 2))
+    if (i := first_trial(orth > TAU_ORTH)) is not None:
+        raise ValidationError(f"trial {i}: theta family is not orthonormal")
+
+    rho_t1 = _weighted_dyads(p, _product_kets(b1, b2, na, nb)[None])
+    rho_t2 = _weighted_dyads(p, _theta_kets(lam, b1, b2))
+    check_density_stack(rho_t1, "rho(t1)")
+    evals_t2 = check_density_stack(rho_t2, "rho(t2)")
+    t1 = rho_t1.reshape(n, d1, d2, d1, d2)
+    t2 = rho_t2.reshape(n, d1, d2, d1, d2)
+    marginals = (
+        np.einsum("nabcb->nac", t1),
+        np.einsum("nabad->nbd", t1),
+        np.einsum("nabcb->nac", t2),
+        np.einsum("nabad->nbd", t2),
+    )
+    names = ("rho1(t1)", "rho2(t1)", "rho1(t2)", "rho2(t2)")
+    entropies = np.array(
+        [_spectral_entropies(check_density_stack(m, k)) for m, k in zip(marginals, names)]
+    )
+    return StackedSelection(rho_t2, marginals, entropies, _spectral_entropies(evals_t2))
+
+
 def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> SelectionReport:
     """Run the selection rho(t2) = sum_ab p_ab |theta_ab><theta_ab|.
 
-    Reduced states at t2 are computed both from the lambda index formula
-    and by partial trace; the report carries the residual between the two.
-    Global entropy is unchanged because the weights are carried onto an
-    orthonormal family.
+    The one-trial case of select_stack.  Reduced states at t2 are also
+    computed from the lambda index formula, and the report carries the
+    residual between that and the partial trace.  Global entropy is
+    unchanged because the weights are carried onto an orthonormal family.
     """
     na, nb = ks.p_ab.shape
     tna, tnb, d1, d2 = theta.shape
@@ -292,19 +419,11 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
     # theta vectors need full marginal bases; extend the knowledge bases
     b1 = _complete_basis(ks.basis1, d1)
     b2 = _complete_basis(ks.basis2, d2)
-    vecs = theta.vectors(b1, b2)
-    d = ks.layout.total_dim
-    rho2_mat = np.zeros((d, d), dtype=complex)
-    for a in range(na):
-        for b in range(nb):
-            v = vecs[:, a * nb + b]
-            rho2_mat += ks.p_ab[a, b] * np.outer(v, v.conj())
-    rho_t2 = DensityMatrix(ks.layout, rho2_mat)
-    rho_t1 = ks.realized_density()
-    rho1_t1 = partial_trace(rho_t1, (0,))
-    rho2_t1 = partial_trace(rho_t1, (1,))
-    rho1_t2 = partial_trace(rho_t2, (0,))
-    rho2_t2 = partial_trace(rho_t2, (1,))
+    sel = select_stack(ks.p_ab[None], theta.lam[None], b1, b2)
+    rho_t2 = DensityMatrix(ks.layout, sel.rho_t2[0])
+    rho1_t1, rho2_t1, rho1_t2, rho2_t2 = (
+        DensityMatrix(SubsystemLayout(m.shape[1:2]), m[0]) for m in sel.marginals
+    )
     # index-formula marginals, in the extended bases
     lam = theta.lam
     m1 = np.einsum("ab,abcd,abed->ce", ks.p_ab, lam, lam)
@@ -312,10 +431,7 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
     f1 = b1 @ m1 @ dagger(b1)
     f2 = b2 @ m2 @ dagger(b2)
     formula_residual = max(max_abs(f1 - rho1_t2.mat), max_abs(f2 - rho2_t2.mat))
-    s1_t1 = von_neumann_entropy(rho1_t1)
-    s2_t1 = von_neumann_entropy(rho2_t1)
-    s1_t2 = von_neumann_entropy(rho1_t2)
-    s2_t2 = von_neumann_entropy(rho2_t2)
+    s1_t1, s2_t1, s1_t2, s2_t2 = sel.entropies[:, 0].tolist()
     return SelectionReport(
         rho_t2=rho_t2,
         rho1_t1=rho1_t1,
@@ -328,7 +444,7 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
         s2_t2=s2_t2,
         ds1=s1_t2 - s1_t1,
         ds2=s2_t2 - s2_t1,
-        s_global=von_neumann_entropy(rho_t2),
+        s_global=float(sel.s_global[0]),
         formula_residual=formula_residual,
     )
 
@@ -355,27 +471,34 @@ def _complete_basis(partial: np.ndarray, dim: int) -> np.ndarray:
     return np.column_stack([partial] + extra)
 
 
-def perturb_selection(
-    dims: tuple[int, int], epsilon: float, rng: np.random.Generator
-) -> ThetaFamily:
-    """Imperfect selection: rotate the ideal family by exp(epsilon * G).
+def perturbed_lams(dims: tuple[int, int], epsilon: float, rngs) -> np.ndarray:
+    """Imperfect selections: the ideal family rotated by exp(epsilon * G_n).
 
-    G is a random real antisymmetric generator with unit spectral norm, so
-    epsilon is a severity dial and epsilon = 0 recovers the ideal family.
+    G_n is a random real antisymmetric generator with unit spectral norm,
+    built from one standard-normal (d, d) draw of rngs[n], so epsilon is a
+    severity dial.  epsilon = 0 draws nothing and gives every trial the
+    ideal family.  Returns the lambda stack (N, d1, d2, d1, d2); the N
+    matrix exponentials are one stacked expm.
     """
-    if epsilon < 0:
-        raise UsageError(f"epsilon must be >= 0, got {epsilon}")
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise UsageError(f"epsilon must be finite and >= 0, got {epsilon}")
     d1, d2 = int(dims[0]), int(dims[1])
     d = d1 * d2
     if epsilon == 0:
-        return ThetaFamily.ideal((d1, d2))
-    g = rng.standard_normal((d, d))
-    g = g - g.T
-    g = g / np.linalg.norm(g, 2)
+        return np.broadcast_to(ThetaFamily.ideal((d1, d2)).lam, (len(rngs), d1, d2, d1, d2))
+    g = np.array([rng.standard_normal((d, d)) for rng in rngs])
+    g = g - g.transpose(0, 2, 1)
+    g = g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
     r = scipy.linalg.expm(epsilon * g)
-    # column (a*d2 + b) of r is theta_ab in the computational product basis
-    lam = r.T.reshape(d1, d2, d1, d2)
-    return ThetaFamily(lam)
+    # column (a*d2 + b) of r_n is theta_ab in the computational product basis
+    return r.transpose(0, 2, 1).reshape(-1, d1, d2, d1, d2)
+
+
+def perturb_selection(
+    dims: tuple[int, int], epsilon: float, rng: np.random.Generator
+) -> ThetaFamily:
+    """One imperfect selection: the one-trial case of perturbed_lams."""
+    return ThetaFamily(perturbed_lams(dims, epsilon, [rng])[0])
 
 
 def relabeling_counterexample() -> tuple[KnowledgeState, ThetaFamily]:

@@ -148,6 +148,38 @@ class DensityMatrix:
         return DensityMatrix.from_matrix(np.outer(ket, ket.conj()), layout)
 
 
+def first_trial(flags: np.ndarray) -> int | None:
+    """Index of the first True entry of a per-trial flag vector, or None."""
+    bad = np.flatnonzero(flags)
+    return int(bad[0]) if bad.size else None
+
+
+def check_density_stack(mats: np.ndarray, name: str = "density matrix") -> np.ndarray:
+    """Validate a stack (N, d, d) of density matrices; return their eigenvalues.
+
+    Every trial gets DensityMatrix's checks and tolerances: finite entries,
+    Hermitian within TAU_HERM, unit trace within TAU_TRACE, and no eigenvalue
+    below -TAU_PSD.  A failure names the first bad trial.  The eigenvalues
+    (ascending, one row per trial) are those DensityMatrix computes.
+    """
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[0] < 1 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise ValidationError(f"{name} stack must have shape (N, d, d), got {m.shape}")
+    if (i := first_trial(~np.isfinite(m).all(axis=(1, 2)))) is not None:
+        raise ValidationError(f"trial {i}: {name} contains non-finite entries")
+    herm = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if (i := first_trial(herm > TAU_HERM)) is not None:
+        raise ValidationError(f"trial {i}: {name} is not Hermitian")
+    trace = np.trace(m, axis1=1, axis2=2)
+    if (i := first_trial(np.abs(trace - 1.0) > TAU_TRACE)) is not None:
+        raise ValidationError(f"trial {i}: {name} trace {trace[i]} != 1")
+    evals = np.linalg.eigvalsh(m)
+    low = evals.min(axis=1)
+    if (i := first_trial(low < -TAU_PSD)) is not None:
+        raise ValidationError(f"trial {i}: {name} has eigenvalue {low[i]} < 0")
+    return evals
+
+
 @dataclass(frozen=True)
 class UnitaryOperator:
     layout: SubsystemLayout

@@ -20,6 +20,7 @@ Test vectors live in docs/rng.md and tests/test_rng.py.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,6 +38,27 @@ def substream_key(seed: int, index: int = 0) -> int:
     return mix64((mix64(seed & _MASK64) + (index & _MASK64)) & _MASK64)
 
 
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence that hands Philox a given key.
+
+    Philox takes its 128-bit key from `generate_state(2, np.uint64)` of its
+    seed sequence, so answering (key, 0) yields the state of
+    `Philox(key=key)`: counter 0, empty buffer.  That constructor would
+    first build an OS-entropy `SeedSequence` only to discard it, about half
+    the cost of a substream.
+    """
+
+    def __init__(self, key: int):
+        self._words = np.array([key, 0], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+
 def substream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for trial `index` under `seed`."""
-    return np.random.Generator(np.random.Philox(key=substream_key(seed, index)))
+    """Independent generator for trial `index` under `seed`.
+
+    Every call builds a fresh bit generator, so live substreams never share
+    state.
+    """
+    return np.random.Generator(np.random.Philox(_PhiloxKey(substream_key(seed, index))))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,8 @@ from . import operator_core as oc
 from . import properties
 from .errors import CapacityError, UsageError
 from .rng import substream
+
+MAX_SEED = 2**64 - 1  # seeds are 64-bit; larger ones would alias smaller ones
 
 SCENARIOS = (
     "copy-demo",
@@ -59,8 +61,11 @@ class ScenarioConfig:
             )
         if self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
-        if self.epsilon < 0:
-            raise UsageError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        seed = int(self.seed)
+        if not 0 <= seed <= MAX_SEED:
+            raise UsageError(f"seed must be in [0, 2**64 - 1], got {seed}")
         dims = tuple(int(d) for d in self.dims)
         if any(d < 2 for d in dims):
             raise UsageError(f"dims must each be >= 2, got {dims}")
@@ -72,11 +77,18 @@ class ScenarioConfig:
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         if self.epsilon_sweep is not None:
             sweep = tuple(float(e) for e in self.epsilon_sweep)
-            if not sweep or any(e < 0 for e in sweep) or list(sweep) != sorted(sweep):
-                raise UsageError("epsilon sweep must be a nonempty ascending list of >= 0")
+            if (
+                not sweep
+                or any(not math.isfinite(e) or e < 0 for e in sweep)
+                or list(sweep) != sorted(sweep)
+            ):
+                raise UsageError(
+                    f"epsilon sweep must be a nonempty ascending list of finite values >= 0, "
+                    f"got {list(sweep)}"
+                )
             object.__setattr__(self, "epsilon_sweep", sweep)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     def echo(self) -> dict:
         return {
@@ -124,15 +136,8 @@ class RunReport:
         return buf.getvalue()
 
 
-def _run_trials(seed: int, n: int, fn, parallel: bool = False) -> list:
-    """Evaluate fn(trial_index, rng) for each trial on its own substream.
-
-    Results are reduced in index order, so parallel and serial execution
-    agree exactly.
-    """
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(lambda t: fn(t, substream(seed, t)), range(n)))
+def _run_trials(seed: int, n: int, fn) -> list:
+    """Evaluate fn(trial_index, rng) for each trial on its own substream, in index order."""
     return [fn(t, substream(seed, t)) for t in range(n)]
 
 
@@ -275,21 +280,21 @@ def _scenario_no_cloning(cfg: ScenarioConfig):
     return results, tuple(rows)
 
 
-def _second_law_trial(dims, epsilon, uniform_weights):
-    d1, d2 = dims
+def _selection_ds(cfg: ScenarioConfig, seed: int, epsilon: float) -> tuple[list, list]:
+    """ds1 and ds2 of cfg.trials imperfect selections, as one stack.
 
-    def trial(t, rng):
-        if uniform_weights:
-            p = np.full((d1, d2), 1.0 / (d1 * d2))
-        else:
-            p = rng.random((d1, d2))
-            p /= p.sum()
-        ks = ke.build_knowledge_state(p, (d1, d2))
-        theta = ke.perturb_selection((d1, d2), epsilon, rng)
-        rep = ke.apply_selection_process(ks, theta)
-        return rep.ds1, rep.ds2
-
-    return trial
+    Trial t draws from substream(seed, t): its weights first (unless
+    uniform), then its rotation generator (only when epsilon > 0).
+    """
+    d1, d2 = cfg.dims
+    rngs = [substream(seed, t) for t in range(cfg.trials)]
+    if cfg.uniform_weights:
+        p = np.full((cfg.trials, d1, d2), 1.0 / (d1 * d2))
+    else:
+        p = np.array([w / w.sum() for w in (rng.random((d1, d2)) for rng in rngs)])
+    lam = ke.perturbed_lams((d1, d2), epsilon, rngs)
+    sel = ke.select_stack(p, lam, np.eye(d1, dtype=complex), np.eye(d2, dtype=complex))
+    return sel.ds1.tolist(), sel.ds2.tolist()
 
 
 def _sweep_rows(cfg: ScenarioConfig, sweep):
@@ -297,11 +302,8 @@ def _sweep_rows(cfg: ScenarioConfig, sweep):
         raise UsageError("second-law scenario needs exactly two factors")
     rows = []
     for i, eps in enumerate(sweep):
-        trial = _second_law_trial(cfg.dims, eps, cfg.uniform_weights)
         # per-epsilon substream block keeps rows independent of sweep shape
-        outs = _run_trials(cfg.seed + i, cfg.trials, trial)
-        ds1 = [o[0] for o in outs]
-        ds2 = [o[1] for o in outs]
+        ds1, ds2 = _selection_ds(cfg, cfg.seed + i, eps)
         rows.append(
             {
                 "epsilon": eps,
@@ -313,13 +315,6 @@ def _sweep_rows(cfg: ScenarioConfig, sweep):
             }
         )
     return rows
-
-
-def run_second_law_sweep(cfg: ScenarioConfig) -> "RunReport":
-    """Sweep the selection-imperfection dial and track entropy growth."""
-    if not cfg.epsilon_sweep:
-        raise UsageError("second-law sweep needs --epsilon-sweep")
-    return run_scenario(cfg)
 
 
 def _scenario_second_law(cfg: ScenarioConfig):

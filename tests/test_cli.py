@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from qsim import cli, properties
-from qsim.scenarios import ScenarioConfig, run_scenario, _run_trials
+from qsim.scenarios import ScenarioConfig, fmt, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 DOCS = Path(__file__).parents[1] / "docs"
 
 
@@ -52,6 +53,33 @@ class TestExitCodes:
         assert err.startswith("qsim: error: copy-demo needs exactly two factor dims")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["second-law", "--epsilon", "nan"], "epsilon must be finite and >= 0, got nan"),
+            (["second-law", "--epsilon-sweep", "0,inf"], "epsilon sweep must be"),
+            (["payoff-demo", "--seed", "-5"], "seed must be in [0, 2**64 - 1], got -5"),
+            (["payoff-demo", "--seed", str(2**64)], f"got {2**64}"),
+        ],
+        ids=["epsilon-nan", "sweep-inf", "seed-negative", "seed-2**64"],
+    )
+    def test_out_of_range_config_is_usage_error(self, capsys, monkeypatch, argv, fragment):
+        code, out, err = run_cli(argv, capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qsim: error: ") and fragment in err
+        assert err.count("\n") == 1
+
+    def test_largest_seed_runs(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            ["payoff-demo", "--seed", str(2**64 - 1), "--trials", "5"], capsys, monkeypatch
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["seed"] == 2**64 - 1
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(doc, json.loads((DOCS / "run_report.schema.json").read_text()))
+
     def test_property_failure_is_exit_1(self, capsys, monkeypatch):
         broken = dict(properties.REGISTRY)
 
@@ -86,13 +114,24 @@ class TestDeterminism:
         cfg = ScenarioConfig("no-cloning")
         assert "wall_time" not in run_scenario(cfg).results_payload()
 
-    def test_parallel_matches_serial(self):
-        def trial(t, rng):
-            return float(rng.random())
-
-        serial = _run_trials(5, 40, trial, parallel=False)
-        parallel = _run_trials(5, 40, trial, parallel=True)
-        assert serial == parallel
+    def test_second_law_rows_match_frozen_vectors(self):
+        # the stacked engine reproduces the per-trial results it replaced
+        frozen = json.loads((DATA / "selection_frozen.json").read_text())
+        for case in frozen["cases"]:
+            cfg = ScenarioConfig(
+                "second-law",
+                seed=frozen["seed"],
+                dims=tuple(case["dims"]),
+                trials=frozen["trials"],
+                epsilon=case["epsilon"],
+                uniform_weights=case["uniform_weights"],
+            )
+            (row,) = run_scenario(cfg).results["sweep"]
+            for key in ("ds1", "ds2"):
+                ds = [float.fromhex(x) for x in case[key]]
+                assert row[f"mean_{key}"] == fmt(sum(ds) / len(ds))
+                violations = sum(1 for d in ds if d < -1e-9) / len(ds)
+                assert row[f"violation_fraction_s{key[-1]}"] == fmt(violations)
 
 
 class TestGoldenCsv:

@@ -1,14 +1,21 @@
 """Entropy, knowledge states, decoherence, and selection processes."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qsim import knowledge_entropy as ke
 from qsim import operator_core as oc
-from qsim.errors import ValidationError
+from qsim.errors import CapacityError, UsageError, ValidationError
 from qsim.rng import substream
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+
+# ds1/ds2 per trial (float.hex) and whole selection reports, as computed by
+# the one-selection-per-trial code that preceded the stacked engine
+FROZEN = json.loads((Path(__file__).parent / "data" / "selection_frozen.json").read_text())
 
 
 def binary_entropy(p):
@@ -296,3 +303,130 @@ class TestPerturbSelection:
         t1 = ke.perturb_selection((2, 2), 0.2, substream(41, 11))
         t2 = ke.perturb_selection((2, 2), 0.2, substream(41, 12))
         assert not np.array_equal(t1.lam, t2.lam)
+
+
+def filtered_entropy(m):
+    """Reference entropy: the kept eigenvalues alone, summed by np.sum."""
+    evals = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    nz = evals[evals > ke.EIGENVALUE_CLAMP]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
+def stack_inputs(seed, n, dims, eps, uniform=False):
+    """Weights and lambda of n trials drawn as the second-law scenario draws them."""
+    d1, d2 = dims
+    rngs = [substream(seed, t) for t in range(n)]
+    if uniform:
+        p = np.full((n, d1, d2), 1.0 / (d1 * d2))
+    else:
+        p = np.array([w / w.sum() for w in (rng.random(dims) for rng in rngs)])
+    return p, ke.perturbed_lams(dims, eps, rngs)
+
+
+def eye_bases(dims):
+    return np.eye(dims[0], dtype=complex), np.eye(dims[1], dtype=complex)
+
+
+def case_id(case):
+    weights = "uniform" if case["uniform_weights"] else "random"
+    return f"{case['dims'][0]}x{case['dims'][1]}-eps{case['epsilon']}-{weights}"
+
+
+class TestStackedSelection:
+    @pytest.mark.parametrize("case", FROZEN["cases"], ids=case_id)
+    def test_matches_frozen_per_trial_vectors(self, case):
+        dims = tuple(case["dims"])
+        p, lam = stack_inputs(
+            FROZEN["seed"], FROZEN["trials"], dims, case["epsilon"], case["uniform_weights"]
+        )
+        sel = ke.select_stack(p, lam, *eye_bases(dims))
+        assert [x.hex() for x in sel.ds1.tolist()] == case["ds1"]
+        assert [x.hex() for x in sel.ds2.tolist()] == case["ds2"]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 5)])
+    def test_stack_matches_one_trial_selections(self, dims):
+        n = 6
+        p, lam = stack_inputs(44, n, dims, 0.3)
+        sel = ke.select_stack(p, lam, *eye_bases(dims))
+        for t in range(n):
+            rng = substream(44, t)
+            w = rng.random(dims)
+            ks = ke.build_knowledge_state(w / w.sum(), dims)
+            rep = ke.apply_selection_process(ks, ke.perturb_selection(dims, 0.3, rng))
+            assert (sel.ds1[t], sel.ds2[t], sel.s_global[t]) == (rep.ds1, rep.ds2, rep.s_global)
+            np.testing.assert_array_equal(sel.rho_t2[t], rep.rho_t2.mat)
+
+    @pytest.mark.parametrize("name", sorted(FROZEN["reports"]))
+    def test_report_fields_match_frozen(self, name):
+        if name == "relabeling_counterexample":
+            ks, theta = ke.relabeling_counterexample()
+        else:
+            rng = substream(43, int(name[-1]))
+            p = rng.random((3, 3))
+            ks = ke.build_knowledge_state(p / p.sum(), (3, 3))
+            theta = ke.perturb_selection((3, 3), 0.4, rng)
+        rep = ke.apply_selection_process(ks, theta)
+        for field, want in FROZEN["reports"][name].items():
+            got = getattr(rep, field)
+            if isinstance(want, str):
+                assert float(got).hex() == want, field
+            else:
+                mat = got.mat.ravel()
+                assert [float(x).hex() for x in mat.real] == want[0], field
+                assert [float(x).hex() for x in mat.imag] == want[1], field
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p, lam: p.__setitem__((3, 0, 0), -0.5),
+            lambda p, lam: p.__setitem__((3, 0, 0), p[3, 0, 0] + 0.01),
+            lambda p, lam: lam.__setitem__((3, 0, 0), lam[3, 0, 1]),
+            lambda p, lam: p.__setitem__((3, 1, 1), np.nan),
+            lambda p, lam: lam.__setitem__((3, 1, 0, 0, 1), np.nan),
+        ],
+        ids=["negative-weight", "weights-sum", "non-orthonormal-lambda", "nan-weight", "nan-lambda"],
+    )
+    def test_corrupted_trial_is_named(self, corrupt):
+        p, lam = stack_inputs(45, 6, (2, 2), 0.2)
+        lam = np.array(lam)
+        corrupt(p, lam)
+        with pytest.raises(ValidationError, match=r"^trial 3: "):
+            ke.select_stack(p, lam, *eye_bases((2, 2)))
+
+    def test_capacity_checked(self):
+        with pytest.raises(CapacityError):
+            ke.select_stack(np.ones((1, 1, 1)), np.ones((1, 1, 1, 9, 9)), *eye_bases((9, 9)))
+
+    def test_complex_lambda_rejected_per_trial(self):
+        p, lam = stack_inputs(45, 4, (2, 2), 0.2)
+        lam = np.array(lam, dtype=complex)
+        lam[2, 0, 0, 0, 0] += 1e-6j
+        with pytest.raises(ValidationError, match=r"^trial 2: lambda must be real"):
+            ke.select_stack(p, lam, *eye_bases((2, 2)))
+
+    @pytest.mark.parametrize("dims", [(4, 4), (2, 16), (8, 8), (3, 9)])
+    def test_clamped_eigenvalues_summed_like_single_states(self, dims):
+        # zero weights on some columns leave marginals with clamped eigenvalues
+        # next to several kept ones, where a zero-padded row sum would group
+        # the kept terms differently
+        p, lam = stack_inputs(46, 8, dims, 0.0)
+        p[:, :, : dims[1] // 4 + 1] = 0.0
+        p /= p.sum(axis=(1, 2), keepdims=True)
+        sel = ke.select_stack(p, lam, *eye_bases(dims))
+        for k, marginal in enumerate(sel.marginals):
+            for t in range(len(p)):
+                assert sel.entropies[k, t] == filtered_entropy(marginal[t])
+        assert np.any(np.linalg.eigvalsh(sel.marginals[1]) < ke.EIGENVALUE_CLAMP)
+
+    def test_epsilon_zero_draws_nothing(self):
+        rngs = [substream(47, t) for t in range(3)]
+        lam = ke.perturbed_lams((2, 3), 0.0, rngs)
+        assert lam.shape == (3, 2, 3, 2, 3)
+        np.testing.assert_array_equal(lam[2], ke.ThetaFamily.ideal((2, 3)).lam)
+        for t, rng in enumerate(rngs):
+            assert rng.random() == substream(47, t).random()
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(UsageError):
+            ke.perturbed_lams((2, 2), eps, [substream(48, 0)])

@@ -254,6 +254,32 @@ class TestValidation:
         with pytest.raises(ValidationError):
             oc.DensityMatrix.from_matrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([0.5, 0.6]), "trace"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+            (np.diag([1.5, -0.5]), "eigenvalue"),
+            (np.diag([np.nan, 0.5]), "non-finite"),
+        ],
+        ids=["trace", "hermitian", "psd", "nan"],
+    )
+    def test_density_stack_names_first_bad_trial(self, bad, message):
+        good = [oc.random_density(2, 2, substream(7, t)).mat for t in range(4)]
+        stack = np.array(good[:2] + [bad] + good[2:], dtype=complex)
+        for m in stack[:2]:
+            oc.DensityMatrix.from_matrix(m)
+        with pytest.raises(ValidationError):
+            oc.DensityMatrix.from_matrix(stack[2])
+        with pytest.raises(ValidationError, match=rf"^trial 2: rho .*{message}"):
+            oc.check_density_stack(stack, "rho")
+
+    def test_density_stack_eigenvalues_match_single_states(self):
+        stack = np.array([oc.random_density(3, 2, substream(7, t)).mat for t in range(5)])
+        evals = oc.check_density_stack(stack)
+        for m, row in zip(stack, evals):
+            np.testing.assert_array_equal(row, np.linalg.eigvalsh(oc.DensityMatrix.from_matrix(m).mat))
+
     def test_layout_capacity(self):
         with pytest.raises(CapacityError):
             oc.SubsystemLayout((8, 9))

@@ -42,3 +42,29 @@ def test_substreams_are_reproducible_and_distinct():
     np.testing.assert_array_equal(a1, a2)
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
+
+
+def test_substream_state_is_philox_keyed():
+    for seed, index in [(1, 0), (1, 2), (42, 7), (2**64 - 1, 2**64 - 1)]:
+        key = substream_key(seed, index)
+        got = substream(seed, index).bit_generator.state
+        want = np.random.Philox(key=key).state
+        assert got["state"]["key"].tolist() == want["state"]["key"].tolist() == [key, 0]
+        assert got["state"]["counter"].tolist() == want["state"]["counter"].tolist()
+        assert got["buffer_pos"] == want["buffer_pos"]
+        assert got["buffer"].tolist() == want["buffer"].tolist()
+        assert (got["has_uint32"], got["uinteger"]) == (want["has_uint32"], want["uinteger"])
+
+
+def test_live_substreams_do_not_alias():
+    a = substream(3, 1)
+    b = substream(3, 1)
+    assert a.bit_generator is not b.bit_generator
+    want = substream(3, 1).random(6)
+    # interleaved draws: each generator advances only its own state
+    got_a = [a.random(2), a.random(1)]
+    got_b = [b.random(3)]
+    got_a.append(a.random(3))
+    got_b.append(b.random(3))
+    np.testing.assert_array_equal(np.concatenate(got_a), want)
+    np.testing.assert_array_equal(np.concatenate(got_b), want)
