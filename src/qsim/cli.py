@@ -71,6 +71,59 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_list_of(item_ok):
+    return lambda x: isinstance(x, list) and all(item_ok(e) for e in x)
+
+
+def _or_null(ok):
+    return lambda x: x is None or ok(x)
+
+
+# config-file keys and their types, as in the `config` block of
+# docs/run_report.schema.json; ranges are checked by ScenarioConfig
+CONFIG_FILE_TYPES = {
+    "seed": ("an integer", _is_int),
+    "dims": ("a list of integers", _is_list_of(_is_int)),
+    "trials": ("an integer", _is_int),
+    "epsilon": ("a real", _is_real),
+    "epsilon_sweep": ("a list of reals or null", _or_null(_is_list_of(_is_real))),
+    "output_path": ("a string or null", _or_null(lambda x: isinstance(x, str))),
+    "format": ("a string", lambda x: isinstance(x, str)),
+    "uniform_weights": ("a boolean", lambda x: isinstance(x, bool)),
+}
+
+
+def read_config_file(path: str) -> dict:
+    """Parse a JSON config file and check every key against its schema type."""
+    try:
+        with open(path) as fh:
+            file_cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(file_cfg, dict):
+        raise UsageError(
+            f"config file {path} must hold a JSON object, got {type(file_cfg).__name__}"
+        )
+    for key, value in file_cfg.items():
+        if key not in CONFIG_FILE_TYPES:
+            raise UsageError(
+                f"unknown key {key!r} in config file {path}; "
+                f"allowed: {', '.join(CONFIG_FILE_TYPES)}"
+            )
+        kind, ok = CONFIG_FILE_TYPES[key]
+        if not ok(value):
+            raise UsageError(f"config key {key!r} must be {kind}, got {value!r}")
+    return file_cfg
+
+
 def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None]:
     """Merge defaults, env, config file, and flags into a ScenarioConfig."""
     merged = dict(DEFAULTS)
@@ -79,15 +132,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None
             merged["seed"] = int(os.environ["QSIM_SEED"])
         except ValueError as exc:
             raise UsageError(f"QSIM_SEED must be an integer") from exc
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
-        for key in DEFAULTS:
-            if key in file_cfg and file_cfg[key] is not None:
-                merged[key] = file_cfg[key]
+    file_cfg = read_config_file(args.config) if args.config else {}
+    merged.update(file_cfg)
     if args.seed is not None:
         merged["seed"] = args.seed
     if args.dims is not None:
@@ -111,21 +157,9 @@ def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None
     cfg = ScenarioConfig(scenario=args.scenario, **merged)
     # property-suite runs registry-default counts unless trials was set explicitly
     trials_override = None
-    if args.scenario == "property-suite":
-        explicitly_set = args.trials is not None or (
-            args.config is not None and _config_has_trials(args.config)
-        )
-        if explicitly_set:
-            trials_override = cfg.trials
+    if args.scenario == "property-suite" and (args.trials is not None or "trials" in file_cfg):
+        trials_override = cfg.trials
     return cfg, trials_override
-
-
-def _config_has_trials(path: str) -> bool:
-    try:
-        with open(path) as fh:
-            return "trials" in json.load(fh)
-    except Exception:
-        return False
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,8 +176,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = report.to_csv() if cfg.format == "csv" else report.to_json()
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qsim: error: cannot write report to {cfg.output_path}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return report.exit_code

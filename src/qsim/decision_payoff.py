@@ -25,7 +25,9 @@ from .operator_core import (
     max_abs,
     tensor_product,
 )
-from .rng import substream
+from .rng import first_uniforms
+
+FREQUENCY_BLOCK = 2048  # trials per batched draw in frequency_experiment
 
 
 @dataclass(frozen=True)
@@ -156,20 +158,24 @@ class FrequencyReport:
     expected_payoff: float
     max_deviation: float
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["outcome_label", "weight", "count", "frequency", "abs_deviation"])
+    def csv_rows(self) -> tuple[tuple, ...]:
+        """Header plus one row per outcome, reals at 17 significant digits."""
+        rows = [("outcome_label", "weight", "count", "frequency", "abs_deviation")]
         for r in self.rows:
-            w.writerow(
-                [
-                    r.outcome_label,
+            rows.append(
+                (
+                    str(r.outcome_label),
                     format(r.weight, ".17g"),
                     r.count,
                     format(r.frequency, ".17g"),
                     format(r.abs_deviation, ".17g"),
-                ]
+                )
             )
+        return tuple(rows)
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(self.csv_rows())
         return buf.getvalue()
 
 
@@ -178,18 +184,22 @@ def frequency_experiment(
 ) -> FrequencyReport:
     """Simulate one observer-history of repeated branch selections.
 
-    Trial i draws from substream(seed, i), so the report is deterministic
-    and independent of evaluation order.
+    Trial i draws the first uniform of substream(seed, i), so the report is
+    deterministic and independent of evaluation order.  The draws are made
+    FREQUENCY_BLOCK trials at a time by `rng.first_uniforms`, which keeps
+    the temporaries small; the counts are integers, so blocking cannot
+    change them.
     """
     if n_trials < 1:
         raise UsageError(f"n_trials must be >= 1, got {n_trials}")
     weights = outcome_weights(v, a.projectors)
     cum = np.cumsum(weights)
+    last = len(weights) - 1
     counts = np.zeros(len(weights), dtype=int)
-    for i in range(n_trials):
-        u = substream(seed, i).random()
-        k = int(np.searchsorted(cum, u, side="right"))
-        counts[min(k, len(weights) - 1)] += 1
+    for start in range(0, n_trials, FREQUENCY_BLOCK):
+        u = first_uniforms(seed, start, min(FREQUENCY_BLOCK, n_trials - start))
+        k = np.minimum(np.searchsorted(cum, u, side="right"), last)
+        counts += np.bincount(k, minlength=len(weights))
     rows = []
     for k, label in enumerate(a.projectors.labels):
         freq = counts[k] / n_trials

@@ -334,19 +334,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_TOTAL_DIM) -
     return np.kron(a, b)
 
 
-def embed_operator(op: np.ndarray, layout: SubsystemLayout, subsystem: int) -> np.ndarray:
-    """Lift a single-factor operator to the full space as I x ... op ... x I."""
-    op = as_matrix(op)
-    if op.shape[0] != layout.factor_dims[subsystem]:
-        raise UsageError(
-            f"operator dim {op.shape[0]} != factor dim {layout.factor_dims[subsystem]}"
-        )
-    out = np.eye(1, dtype=complex)
-    for k, d in enumerate(layout.factor_dims):
-        out = np.kron(out, op if k == subsystem else np.eye(d, dtype=complex))
-    return out
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept factors."""
     keep = rho.layout.validate_indices(keep)

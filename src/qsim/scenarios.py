@@ -253,12 +253,7 @@ def _scenario_payoff_demo(cfg: ScenarioConfig):
         ],
         "max_deviation": fmt(freq.max_deviation),
     }
-    rows = [("outcome_label", "weight", "count", "frequency", "abs_deviation")]
-    for r in freq.rows:
-        rows.append(
-            (str(r.outcome_label), fmt(r.weight), r.count, fmt(r.frequency), fmt(r.abs_deviation))
-        )
-    return results, tuple(rows)
+    return results, freq.csv_rows()
 
 
 def _scenario_no_cloning(cfg: ScenarioConfig):

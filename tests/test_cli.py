@@ -239,6 +239,60 @@ class TestPrecedence:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            ("[1, 2]", "must hold a JSON object, got list"),
+            ('{"trials": "10"}', "config key 'trials' must be an integer, got '10'"),
+            ('{"trails": 10}', "unknown key 'trails'"),
+            ('{"trials": true}', "config key 'trials' must be an integer, got True"),
+            ('{"epsilon_sweep": [0, "x"]}', "config key 'epsilon_sweep' must be a list of reals"),
+        ],
+        ids=["array", "string-trials", "unknown-key", "bool-trials", "sweep-entry"],
+    )
+    def test_invalid_config_file_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, content, fragment
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        code, out, err = run_cli(["payoff-demo", "--config", str(cfg_path)], capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("qsim: error: ") and fragment in err
+        assert err.count("\n") == 1
+
+    def test_config_file_keys_follow_schema(self):
+        schema = json.loads((DOCS / "run_report.schema.json").read_text())
+        props = schema["properties"]["config"]["properties"]
+        assert set(cli.CONFIG_FILE_TYPES) == set(cli.DEFAULTS) == set(props) - {"scenario"}
+
+    def test_config_file_with_every_key_runs(self, capsys, monkeypatch, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        doc = {
+            "seed": 3, "dims": [2, 2], "trials": 4, "epsilon": 0, "epsilon_sweep": None,
+            "output_path": None, "format": "csv", "uniform_weights": True,
+        }
+        cfg_path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["second-law", "--config", str(cfg_path)], capsys, monkeypatch)
+        assert code == 0
+        assert out.startswith("epsilon,")
+
+    def test_unwritable_output_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(["payoff-demo", "--output", str(path)], capsys, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"qsim: error: cannot write report to {path}")
+        assert err.count("\n") == 1
+
+    def test_config_file_trials_override_property_suite(self, capsys, monkeypatch, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": 1}))
+        code, out, _ = run_cli(["property-suite", "--config", str(cfg_path)], capsys, monkeypatch)
+        assert code == 0
+        assert json.loads(out)["results"]["reduced_confidence"]
+
+
 class TestPropertySuite:
     def test_default_trials_full_confidence(self, capsys, monkeypatch):
         code, out, _ = run_cli(["property-suite"], capsys, monkeypatch)

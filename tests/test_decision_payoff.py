@@ -129,6 +129,56 @@ class TestFrequencyExperiment:
         # single seeds can get lucky at small n, the average cannot
         assert np.mean(big) < np.mean(small)
 
+    @staticmethod
+    def reference_counts(weights, n, seed):
+        """The per-trial loop: one substream and one searchsorted per trial."""
+        cum = np.cumsum(weights)
+        counts = [0] * len(weights)
+        for i in range(n):
+            k = int(np.searchsorted(cum, substream(seed, i).random(), side="right"))
+            counts[min(k, len(weights) - 1)] += 1
+        return counts
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_counts_match_per_trial_loop(self, dim):
+        rng = substream(47, dim)
+        ket = oc.random_pure_ket(dim, rng)
+        ket[rng.integers(dim)] = 0.0  # one outcome of weight 0
+        v = dp.RelativeState.from_ket(ket)
+        a = dp.PayoffObservable(tuple(range(dim)), oc.computational_projectors(dim))
+        rep = dp.frequency_experiment(v, a, 3000, seed=dim)
+        weights = dp.outcome_weights(v, a.projectors)
+        assert 0.0 in [r.weight for r in rep.rows]
+        assert [r.count for r in rep.rows] == self.reference_counts(weights, 3000, dim)
+
+    def test_counts_across_block_edges(self):
+        v = dp.RelativeState.from_ket(ZERO)
+        a = plus_minus_payoff()
+        weights = dp.outcome_weights(v, a.projectors)
+        block = dp.FREQUENCY_BLOCK
+        for n in (1, block - 1, block, block + 1, 2 * block + 1):
+            rep = dp.frequency_experiment(v, a, n, seed=9)
+            assert [r.count for r in rep.rows] == self.reference_counts(weights, n, 9)
+
+    def test_draws_past_last_cumulative_weight_go_to_last_outcome(self, monkeypatch):
+        # cum[-1] = 0.6 < 1: uniforms above it clamp to the last outcome
+        weights = np.array([0.2, 0.0, 0.4])
+        monkeypatch.setattr(dp, "outcome_weights", lambda v, ps: weights)
+        v = dp.RelativeState.from_ket(np.array([1, 0, 0], dtype=complex))
+        a = dp.PayoffObservable((0.0, 1.0, 2.0), oc.computational_projectors(3))
+        rep = dp.frequency_experiment(v, a, 2500, seed=4)
+        counts = [r.count for r in rep.rows]
+        assert counts == self.reference_counts(weights, 2500, 4)
+        assert counts[1] == 0 and counts[2] > 0.7 * 2500
+
+    def test_csv_matches_payoff_demo_csv(self):
+        from qsim.scenarios import ScenarioConfig, run_scenario
+
+        cfg = ScenarioConfig("payoff-demo", seed=6, trials=300, format="csv")
+        v = dp.RelativeState.from_ket(ZERO)
+        rep = dp.frequency_experiment(v, plus_minus_payoff(), 300, seed=6)
+        assert run_scenario(cfg).to_csv() == rep.to_csv()
+
     def test_csv_round_trip(self):
         v = dp.RelativeState.from_ket(ZERO)
         rep = dp.frequency_experiment(v, plus_minus_payoff(), 100, seed=5)

@@ -1,8 +1,18 @@
 """Frozen vectors and splittability of the Philox substream scheme."""
 
 import numpy as np
+import pytest
 
-from qsim.rng import mix64, substream, substream_key
+from qsim.rng import (
+    _philox4x64_10,
+    first_uniforms,
+    mix64,
+    substream,
+    substream_key,
+    substream_keys,
+)
+
+MAX64 = 2**64 - 1
 
 
 def test_mix64_vectors():
@@ -68,3 +78,45 @@ def test_live_substreams_do_not_alias():
     got_b.append(b.random(3))
     np.testing.assert_array_equal(np.concatenate(got_a), want)
     np.testing.assert_array_equal(np.concatenate(got_b), want)
+
+
+def test_first_uniforms_vectors():
+    np.testing.assert_array_equal(
+        first_uniforms(1, 0, 3), [0.6518129836370803, 0.5940722736554116, 0.673828794343725]
+    )
+
+
+@pytest.mark.parametrize("key", [0, 1, 0x5E41AB087439611E, MAX64])
+def test_philox_block_matches_numpy(key):
+    """Counter (1, 0, 0, 0) is the block numpy's Philox emits first."""
+    k = np.array([key], dtype=np.uint64)
+    zero = np.zeros_like(k)
+    words = _philox4x64_10((zero + 1, zero, zero, zero), (k, zero))
+    assert [int(w[0]) for w in words] == np.random.Philox(key=key).random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, MAX64])
+def test_first_uniforms_match_substreams_bit_for_bit(seed):
+    want = np.array([substream(seed, i).random() for i in range(5000)])
+    for n in (1, 2047, 2048, 2049, 5000):
+        np.testing.assert_array_equal(first_uniforms(seed, 0, n), want[:n])
+    np.testing.assert_array_equal(first_uniforms(seed, 2047, 2), want[2047:2049])
+    np.testing.assert_array_equal(first_uniforms(seed, 4999, 1), want[4999:])
+
+
+@pytest.mark.parametrize("seed", [0, 7, MAX64])
+def test_substream_keys_wrap_like_substream_key(seed):
+    # indices past 2**64 - 1 wrap, and so does mix64(seed) + index
+    for start in (MAX64 - 2, 2**64 - mix64(seed) - 2):
+        got = substream_keys(seed, start, 6)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [substream_key(seed, start + i) for i in range(6)]
+        np.testing.assert_array_equal(
+            first_uniforms(seed, start, 6),
+            [substream(seed, start + i).random() for i in range(6)],
+        )
+
+
+def test_mix64_on_arrays_matches_ints():
+    xs = [0, 1, 0x9E3779B97F4A7C15, MAX64, 2**63]
+    assert mix64(np.array(xs, dtype=np.uint64)).tolist() == [mix64(x) for x in xs]
