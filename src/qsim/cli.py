@@ -7,7 +7,8 @@
 Precedence: CLI flags > config file > built-in defaults.  The environment
 variable QSIM_SEED overrides the built-in default seed only.
 
-Exit codes: 0 success, 1 property failure, 2 usage error, 3 capacity error.
+Exit codes: 0 success, 1 property failure, 2 usage error, 3 capacity error,
+4 numerical error (a validation or analysis failure inside a run).
 """
 
 from __future__ import annotations
@@ -171,9 +172,12 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"qsim: capacity error: {exc}", file=sys.stderr)
         return 3
-    except QsimError as exc:
+    except UsageError as exc:
         print(f"qsim: error: {exc}", file=sys.stderr)
         return 2
+    except QsimError as exc:
+        print(f"qsim: numerical error: {exc}", file=sys.stderr)
+        return 4
     text = report.to_csv() if cfg.format == "csv" else report.to_json()
     if cfg.output_path:
         try:

@@ -21,13 +21,23 @@ from .operator_core import (
     DensityMatrix,
     ProjectorSet,
     SubsystemLayout,
+    block_projectors,
     check_density_stack,
+    check_projector_stack,
+    check_unitary_stack,
     dagger,
     first_trial,
+    ginibre,
+    gram_densities,
+    haar_unitaries,
     hermitian_eigendecomposition,
     max_abs,
     partial_trace,
+    random_block_sizes,
+    trial_blocks,
+    trial_name,
 )
+from .rng import substream
 
 EIGENVALUE_CLAMP = 1e-12
 
@@ -220,23 +230,111 @@ class XiRotation:
 # Decoherence
 
 
-def projective_decoherence(rho: DensityMatrix, ps: ProjectorSet) -> DensityMatrix:
-    """sum_c P_c rho P_c: kills coherences between the blocks of ps."""
+def _projector_stack(rho: DensityMatrix, ps: ProjectorSet) -> np.ndarray:
+    """ps as a one-trial stack (1, K, d, d), checked against the state's dim."""
     if ps.dim != rho.dim:
         raise ValidationError(f"projector dim {ps.dim} != state dim {rho.dim}")
-    out = np.zeros_like(np.asarray(rho.mat))
-    for p in ps.projectors:
-        out += p @ rho.mat @ p
-    return DensityMatrix(rho.layout, out)
+    return np.array(ps.projectors)[None]
+
+
+def _pinch(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
+    """sum_k (P_k rho) P_k for stacks rho (N, d, d) and projs (N, K, d, d), added in k order."""
+    out = np.zeros_like(rho)
+    for k in range(projs.shape[1]):
+        out += projs[:, k] @ rho @ projs[:, k]
+    return out
+
+
+def projective_decoherence(rho: DensityMatrix, ps: ProjectorSet) -> DensityMatrix:
+    """sum_c P_c rho P_c: kills coherences between the blocks of ps."""
+    return DensityMatrix(rho.layout, _pinch(rho.mat[None], _projector_stack(rho, ps))[0])
+
+
+def _pinching_entropies(
+    rho: np.ndarray, projs: np.ndarray, trials=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """S(rho) and S(sum_k P_k rho P_k) of each trial, in bits.
+
+    Both states are validated with DensityMatrix's checks, and the
+    eigenvalues of each check give the entropies, so each stack takes one
+    eigvalsh.  A failure names the first bad trial, numbered by `trials`.
+    """
+    before = check_density_stack(rho, "rho", trials)
+    after = check_density_stack(_pinch(rho, projs), "decohered rho", trials)
+    return _spectral_entropies(before), _spectral_entropies(after)
 
 
 def entropy_after_decoherence_geq(
     rho: DensityMatrix, ps: ProjectorSet
 ) -> tuple[float, float, float]:
-    """(S_before, S_after, margin); margin >= 0 up to rounding, always."""
-    s_before = von_neumann_entropy(rho)
-    s_after = von_neumann_entropy(projective_decoherence(rho, ps))
+    """(S_before, S_after, margin); margin >= 0 up to rounding, always.
+
+    The one-trial case of decoherence_margins' linear algebra.
+    """
+    before, after = _pinching_entropies(rho.mat[None], _projector_stack(rho, ps))
+    s_before, s_after = float(before[0]), float(after[0])
     return s_before, s_after, s_after - s_before
+
+
+DECOHERENCE_DIMS = (2, 8)  # smallest and largest dim of a random decoherence trial
+
+
+def _draw_decoherence_trial(rng: np.random.Generator) -> tuple:
+    """One trial's draws, in order: dim, rank, G (dim x rank), block sizes, Haar Ginibre matrix."""
+    lo, hi = DECOHERENCE_DIMS
+    dim = int(rng.integers(lo, hi + 1))
+    rank = int(rng.integers(1, dim + 1))
+    g = ginibre((dim, rank), rng)
+    blocks = random_block_sizes(dim, rng)
+    return dim, rank, g, blocks, ginibre((dim, dim), rng)
+
+
+def decoherence_margins(seed: int, trials: int) -> np.ndarray:
+    """S(sum_k P_k rho P_k) - S(rho) of `trials` random ragged trials, in trial order.
+
+    Trial t draws from substream(seed, t): its dim d in DECOHERENCE_DIMS,
+    the rank r of rho = G G-dagger / tr with G a d x r complex Gaussian, its
+    block sizes, and the Ginibre matrix of the Haar unitary whose column
+    blocks span the projectors P_k.  The linear algebra then runs once per
+    group: G G-dagger per (d, r); QR, projectors, pinching and both
+    entropies per (d, block count).  Every check of random_density,
+    random_projector_set and entropy_after_decoherence_geq is kept, with its
+    tolerance.  Groups are checked in (d, block count) order, and a failure
+    names the first bad trial of the first failing check.  Every operation
+    acts on each trial alone, so a margin has the bits of one trial run
+    alone.  Trials run in trial_blocks, so memory is bounded by the block
+    and not by `trials`.
+    """
+    margins = np.empty(trials)
+    for block in trial_blocks(trials, DECOHERENCE_DIMS[1]):
+        margins[block.start : block.stop] = _decoherence_block(seed, block)
+    return margins
+
+
+def _decoherence_block(seed: int, block: range) -> np.ndarray:
+    """Margins of the trials in `block`, grouped as decoherence_margins describes."""
+    draws = [_draw_decoherence_trial(substream(seed, t)) for t in block]
+    dims = np.array([x[0] for x in draws])
+    ranks = np.array([x[1] for x in draws])
+    counts = np.array([len(x[3]) for x in draws])
+    trial_ids = np.array(block)
+    s_before = np.empty(len(block))
+    s_after = np.empty(len(block))
+    for d in np.unique(dims):
+        at = np.flatnonzero(dims == d)
+        rho = np.empty((len(at), d, d), dtype=complex)
+        for r in np.unique(ranks[at]):
+            sel = ranks[at] == r
+            rho[sel] = gram_densities(np.array([draws[i][2] for i in at[sel]]))
+        for k in np.unique(counts[at]):
+            sel = counts[at] == k
+            idx = at[sel]
+            u = haar_unitaries(np.array([draws[i][4] for i in idx]))
+            check_unitary_stack(u, trial_ids[idx])
+            projs = block_projectors(u, np.array([draws[i][3] for i in idx]))
+            check_projector_stack(projs, trial_ids[idx])
+            s_before[idx], s_after[idx] = _pinching_entropies(rho[sel], projs, trial_ids[idx])
+    return s_after - s_before
 
 
 def _canonical_eigenbasis(
@@ -335,7 +433,7 @@ class StackedSelection:
 
 
 def select_stack(
-    p: np.ndarray, lam: np.ndarray, basis1: np.ndarray, basis2: np.ndarray
+    p: np.ndarray, lam: np.ndarray, basis1: np.ndarray, basis2: np.ndarray, trials=None
 ) -> StackedSelection:
     """Selections rho_n(t2) = sum_ab p_nab |theta_nab><theta_nab| for N trials at once.
 
@@ -348,8 +446,9 @@ def select_stack(
     KnowledgeState (weights), ThetaFamily (lambda) and DensityMatrix
     (rho(t1), rho(t2) and the four marginals; von_neumann_entropy's PSD
     check is the same test on the same eigenvalues).  A failure names the
-    first bad trial.  Every operation acts on each trial alone, so a trial's
-    numbers are those of a one-trial stack.
+    first bad trial, numbered by `trials` (default: the stack index).  Every
+    operation acts on each trial alone, so a trial's numbers are those of a
+    one-trial stack.
     """
     p = np.asarray(p, dtype=float)
     lam = np.asarray(lam)
@@ -367,25 +466,25 @@ def select_stack(
         if max_abs(dagger(b) @ b - np.eye(b.shape[1])) > TAU_ORTH:
             raise ValidationError("knowledge basis is not orthonormal")
     if (i := first_trial((p < -1e-12).any(axis=(1, 2)))) is not None:
-        raise ValidationError(f"trial {i}: weights must form a nonnegative matrix")
+        raise ValidationError(f"{trial_name(i, trials)}: weights must form a nonnegative matrix")
     p = np.clip(p, 0.0, None)
     total = p.sum(axis=(1, 2))
     if (i := first_trial(np.abs(total - 1.0) > 1e-10)) is not None:
-        raise ValidationError(f"trial {i}: weights sum to {total[i]}, expected 1")
+        raise ValidationError(f"{trial_name(i, trials)}: weights sum to {total[i]}, expected 1")
     if np.iscomplexobj(lam):
         if (i := first_trial(np.abs(lam.imag).max(axis=(1, 2, 3, 4)) > 1e-12)) is not None:
-            raise ValidationError(f"trial {i}: lambda must be real")
+            raise ValidationError(f"{trial_name(i, trials)}: lambda must be real")
         lam = lam.real
     lam = np.asarray(lam, dtype=float)
     flat = lam.reshape(n, na * nb, d1 * d2)
     orth = np.abs(flat @ flat.transpose(0, 2, 1) - np.eye(na * nb)).max(axis=(1, 2))
     if (i := first_trial(orth > TAU_ORTH)) is not None:
-        raise ValidationError(f"trial {i}: theta family is not orthonormal")
+        raise ValidationError(f"{trial_name(i, trials)}: theta family is not orthonormal")
 
     rho_t1 = _weighted_dyads(p, _product_kets(b1, b2, na, nb)[None])
     rho_t2 = _weighted_dyads(p, _theta_kets(lam, b1, b2))
-    check_density_stack(rho_t1, "rho(t1)")
-    evals_t2 = check_density_stack(rho_t2, "rho(t2)")
+    check_density_stack(rho_t1, "rho(t1)", trials)
+    evals_t2 = check_density_stack(rho_t2, "rho(t2)", trials)
     t1 = rho_t1.reshape(n, d1, d2, d1, d2)
     t2 = rho_t2.reshape(n, d1, d2, d1, d2)
     marginals = (
@@ -396,7 +495,10 @@ def select_stack(
     )
     names = ("rho1(t1)", "rho2(t1)", "rho1(t2)", "rho2(t2)")
     entropies = np.array(
-        [_spectral_entropies(check_density_stack(m, k)) for m, k in zip(marginals, names)]
+        [
+            _spectral_entropies(check_density_stack(m, k, trials))
+            for m, k in zip(marginals, names)
+        ]
     )
     return StackedSelection(rho_t2, marginals, entropies, _spectral_entropies(evals_t2))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -29,11 +29,16 @@ TAU_ORTH = 1e-9
 
 MAX_TOTAL_DIM = 64
 
+# Trial stacks run in blocks whose (N, d, d) arrays hold at most this many
+# matrix entries, so their memory does not grow with the trial count.
+STACK_ELEMENTS = 2**20
+
 TWO_PI = 2.0 * math.pi
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., d, d)."""
+    return m.conj().swapaxes(-2, -1)
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -58,10 +63,6 @@ def as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
     return max_abs(m - dagger(m)) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = TAU_UNITARY) -> bool:
-    return max_abs(dagger(m) @ m - np.eye(m.shape[0])) <= tol
 
 
 @dataclass(frozen=True)
@@ -154,30 +155,113 @@ def first_trial(flags: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def check_density_stack(mats: np.ndarray, name: str = "density matrix") -> np.ndarray:
+def trial_blocks(trials: int, dim: int) -> Iterator[range]:
+    """Consecutive trial ranges whose (N, dim, dim) stacks hold at most STACK_ELEMENTS entries."""
+    step = max(1, STACK_ELEMENTS // (dim * dim))
+    return (range(s, min(s + step, trials)) for s in range(0, trials, step))
+
+
+def trial_name(i: int, trials: Sequence[int] | None) -> str:
+    """Name of stack row i: its trial number from `trials`, or i itself."""
+    return f"trial {i if trials is None else int(trials[i])}"
+
+
+def _finite_stack(mats: np.ndarray, name: str, shape: str, trials) -> np.ndarray:
+    """A nonempty complex stack of square matrices with finite entries."""
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != shape.count(",") + 1 or 0 in m.shape or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"{name} stack must have shape {shape}, got {m.shape}")
+    if (i := first_trial(~np.isfinite(m).reshape(len(m), -1).all(axis=1))) is not None:
+        raise ValidationError(f"{trial_name(i, trials)}: {name} contains non-finite entries")
+    return m
+
+
+def _max_abs_rows(m: np.ndarray) -> np.ndarray:
+    """max |entry| of each matrix in a stack (..., d, d)."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
+def check_density_stack(
+    mats: np.ndarray, name: str = "density matrix", trials: Sequence[int] | None = None
+) -> np.ndarray:
     """Validate a stack (N, d, d) of density matrices; return their eigenvalues.
 
     Every trial gets DensityMatrix's checks and tolerances: finite entries,
     Hermitian within TAU_HERM, unit trace within TAU_TRACE, and no eigenvalue
-    below -TAU_PSD.  A failure names the first bad trial.  The eigenvalues
-    (ascending, one row per trial) are those DensityMatrix computes.
+    below -TAU_PSD.  A failure names the first bad trial, numbered by
+    `trials` (default: the row index).  The eigenvalues (ascending, one row
+    per trial) are those DensityMatrix computes.
     """
-    m = np.asarray(mats, dtype=complex)
-    if m.ndim != 3 or m.shape[0] < 1 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
-        raise ValidationError(f"{name} stack must have shape (N, d, d), got {m.shape}")
-    if (i := first_trial(~np.isfinite(m).all(axis=(1, 2)))) is not None:
-        raise ValidationError(f"trial {i}: {name} contains non-finite entries")
-    herm = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if (i := first_trial(herm > TAU_HERM)) is not None:
-        raise ValidationError(f"trial {i}: {name} is not Hermitian")
+    m = _finite_stack(mats, name, "(N, d, d)", trials)
+    if (i := first_trial(_max_abs_rows(m - dagger(m)) > TAU_HERM)) is not None:
+        raise ValidationError(f"{trial_name(i, trials)}: {name} is not Hermitian")
     trace = np.trace(m, axis1=1, axis2=2)
     if (i := first_trial(np.abs(trace - 1.0) > TAU_TRACE)) is not None:
-        raise ValidationError(f"trial {i}: {name} trace {trace[i]} != 1")
+        raise ValidationError(f"{trial_name(i, trials)}: {name} trace {trace[i]} != 1")
     evals = np.linalg.eigvalsh(m)
     low = evals.min(axis=1)
     if (i := first_trial(low < -TAU_PSD)) is not None:
-        raise ValidationError(f"trial {i}: {name} has eigenvalue {low[i]} < 0")
+        raise ValidationError(f"{trial_name(i, trials)}: {name} has eigenvalue {low[i]} < 0")
     return evals
+
+
+def _unitary_defect(u: np.ndarray) -> tuple[int, str] | None:
+    """First (row, message) of a finite stack (N, d, d) that is not unitary within TAU_UNITARY."""
+    err = _max_abs_rows(dagger(u) @ u - np.eye(u.shape[-1]))
+    i = first_trial(err > TAU_UNITARY)
+    return None if i is None else (i, "operator is not unitary within tolerance")
+
+
+def check_unitary_stack(mats: np.ndarray, trials: Sequence[int] | None = None) -> None:
+    """Validate a stack (N, d, d) with UnitaryOperator's checks and tolerance.
+
+    A failure names the first bad trial, numbered by `trials` (default: the
+    row index).
+    """
+    u = _finite_stack(mats, "unitary", "(N, d, d)", trials)
+    if (defect := _unitary_defect(u)) is not None:
+        raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
+
+
+def _projector_defect(p: np.ndarray) -> tuple[int, str] | None:
+    """First (row, message) of a finite stack (N, K, d, d) of K-projector families
+    that fails ProjectorSet's checks at TAU_PROJ, or None.
+
+    The checks run in ProjectorSet's order: each projector Hermitian, then
+    idempotent, in k order; every pair (i, j), i < j, orthogonal; the family
+    complete.  Each check flags every row at once.
+    """
+    herm = _max_abs_rows(p - dagger(p)) > TAU_PROJ
+    idem = _max_abs_rows(p @ p - p) > TAU_PROJ
+    if (n := first_trial((herm | idem).any(axis=1))) is not None:
+        k = first_trial(herm[n] | idem[n])
+        return n, "projector is not Hermitian" if herm[n, k] else "projector is not idempotent"
+    count = p.shape[1]
+    if count > 1:
+        # row i against rows i+1.., so each pair is multiplied once
+        orth = np.concatenate(
+            [_max_abs_rows(p[:, i, None] @ p[:, i + 1 :]) for i in range(count - 1)], axis=1
+        )
+        if (n := first_trial((orth > TAU_PROJ).any(axis=1))) is not None:
+            pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+            i, j = pairs[first_trial(orth[n] > TAU_PROJ)]
+            return n, f"projectors {i} and {j} are not orthogonal"
+    incomplete = _max_abs_rows(p.sum(axis=1) - np.eye(p.shape[-1])) > TAU_PROJ
+    if (n := first_trial(incomplete)) is not None:
+        return n, "projector set is not complete"
+    return None
+
+
+def check_projector_stack(projs: np.ndarray, trials: Sequence[int] | None = None) -> None:
+    """Validate a stack (N, K, d, d): N families of K projectors each.
+
+    Every family gets ProjectorSet's checks and tolerance (TAU_PROJ):
+    Hermitian, idempotent, pairwise orthogonal and complete.  A failure
+    names the first bad trial, numbered by `trials` (default: the row index).
+    """
+    p = _finite_stack(projs, "projector", "(N, K, d, d)", trials)
+    if (defect := _projector_defect(p)) is not None:
+        raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +275,8 @@ class UnitaryOperator:
             raise ValidationError(
                 f"unitary dim {m.shape[0]} != layout total {self.layout.total_dim}"
             )
-        if not is_unitary(m):
-            raise ValidationError("operator is not unitary within tolerance")
+        if (defect := _unitary_defect(m[None])) is not None:
+            raise ValidationError(defect[1])
         object.__setattr__(self, "mat", _freeze(m))
 
     @property
@@ -223,22 +307,10 @@ class ProjectorSet:
         if len(labels) != len(projs):
             raise ValidationError("label count must match projector count")
         object.__setattr__(self, "labels", tuple(labels))
-        dim = projs[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for p in projs:
-            if p.shape[0] != dim:
-                raise ValidationError("projectors have mismatched dims")
-            if not is_hermitian(p, TAU_PROJ):
-                raise ValidationError("projector is not Hermitian")
-            if max_abs(p @ p - p) > TAU_PROJ:
-                raise ValidationError("projector is not idempotent")
-            total += p
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if max_abs(projs[i] @ projs[j]) > TAU_PROJ:
-                    raise ValidationError(f"projectors {i} and {j} are not orthogonal")
-        if max_abs(total - np.eye(dim)) > TAU_PROJ:
-            raise ValidationError("projector set is not complete")
+        if any(p.shape != projs[0].shape for p in projs):
+            raise ValidationError("projectors have mismatched dims")
+        if (defect := _projector_defect(np.array(projs)[None])) is not None:
+            raise ValidationError(defect[1])
 
     @property
     def dim(self) -> int:
@@ -424,24 +496,70 @@ def range_projector(observable: np.ndarray, lo: float, hi: float) -> tuple[np.nd
 # Random generation (Haar unitaries, random states, random projector families)
 
 
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian array: the real parts are drawn first, then the imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of each Ginibre matrix in a stack (N, d, d), phases fixed by diag(R).
+
+    The phase fix makes each Q Haar-distributed.  One stacked QR; slice n
+    equals the QR of g[n] alone, bit for bit.
+    """
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def gram_densities(g: np.ndarray) -> np.ndarray:
+    """G G-dagger / tr(G G-dagger) for each matrix G in a stack (N, d, r)."""
+    m = g @ dagger(g)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def block_projectors(u: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Projectors V V-dagger onto consecutive column blocks V of each u[n].
+
+    u is (N, d, d) and blocks (N, K) holds each row's K block sizes, which
+    sum to d.  Returns (N, K, d, d).  The blocks of one size form one stacked
+    product, and each slice equals the product of its block taken alone.
+    """
+    n, d = u.shape[:2]
+    blocks = np.asarray(blocks)
+    starts = np.cumsum(blocks, axis=1) - blocks
+    out = np.empty((n, blocks.shape[1], d, d), dtype=complex)
+    for b in np.unique(blocks):
+        rows, ks = np.nonzero(blocks == b)
+        cols = starts[rows, ks][:, None, None] + np.arange(b)
+        vecs = u[rows[:, None, None], np.arange(d)[:, None], cols]
+        out[rows, ks] = vecs @ dagger(vecs)
+    return out
+
+
+def random_block_sizes(dim: int, rng: np.random.Generator) -> list[int]:
+    """Random composition of dim: each block size is uniform in [1, what is left]."""
+    blocks = []
+    left = dim
+    while left > 0:
+        b = int(rng.integers(1, left + 1))
+        blocks.append(b)
+        left -= b
+    return blocks
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> UnitaryOperator:
     """Haar-distributed unitary from QR of a complex Ginibre matrix."""
     if dim < 1:
         raise UsageError(f"dim must be positive, got {dim}")
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return UnitaryOperator.from_matrix(q)
+    return UnitaryOperator.from_matrix(haar_unitaries(ginibre((1, dim, dim), rng))[0])
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
     """Normalized G G-dagger with G a dim x rank complex Gaussian matrix."""
     if not 1 <= rank <= dim:
         raise UsageError(f"rank must be in [1, {dim}], got {rank}")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ dagger(g)
-    return DensityMatrix.from_matrix(m / np.trace(m).real)
+    return DensityMatrix.from_matrix(gram_densities(ginibre((1, dim, rank), rng))[0])
 
 
 def random_projector_set(
@@ -452,17 +570,11 @@ def random_projector_set(
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != dim:
         raise UsageError(f"block sizes {block_sizes} must be positive and sum to {dim}")
     u = random_unitary(dim, rng).mat
-    projs = []
-    start = 0
-    for b in block_sizes:
-        vecs = u[:, start : start + b]
-        projs.append(vecs @ dagger(vecs))
-        start += b
-    return ProjectorSet(tuple(projs))
+    return ProjectorSet(tuple(block_projectors(u[None], [block_sizes])[0]))
 
 
 def random_pure_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = ginibre(dim, rng)
     return v / np.linalg.norm(v)
 
 

@@ -37,20 +37,37 @@ PropertyFn = Callable[[int, int], PropertyResult]
 REGISTRY: dict[str, tuple[int, PropertyFn]] = {}
 
 
+def _summarize(property_id: str, residuals, bounds) -> PropertyResult:
+    """Violations, worst residual (never below 0.0) and first bad trial of a run."""
+    residuals = np.asarray(residuals, dtype=float)
+    bad = residuals > bounds
+    worst = max(0.0, float(residuals.max()))
+    return PropertyResult(property_id, len(residuals), int(bad.sum()), worst, oc.first_trial(bad))
+
+
 def _register(property_id: str, default_trials: int):
+    """Register fn(rng) -> (residual, bound), run once per trial on substream(seed, t)."""
+
     def deco(fn):
         def runner(seed: int, trials: int) -> PropertyResult:
-            violations = 0
-            worst = 0.0
-            first_bad = None
-            for t in range(trials):
-                residual, bound = fn(substream(seed, t))
-                worst = max(worst, residual)
-                if residual > bound:
-                    violations += 1
-                    if first_bad is None:
-                        first_bad = t
-            return PropertyResult(property_id, trials, violations, worst, first_bad)
+            checks = [fn(substream(seed, t)) for t in range(trials)]
+            return _summarize(property_id, *zip(*checks))
+
+        REGISTRY[property_id] = (default_trials, runner)
+        return fn
+
+    return deco
+
+
+def _register_batch(property_id: str, default_trials: int):
+    """Register fn(seed, trials) -> (residuals, bound) that runs every trial at once.
+
+    Trial t must still draw from substream(seed, t) alone.
+    """
+
+    def deco(fn):
+        def runner(seed: int, trials: int) -> PropertyResult:
+            return _summarize(property_id, *fn(seed, trials))
 
         REGISTRY[property_id] = (default_trials, runner)
         return fn
@@ -66,21 +83,11 @@ def _random_dim(rng, lo=2, hi=8) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _random_blocks(rng, dim: int) -> list[int]:
-    blocks = []
-    left = dim
-    while left > 0:
-        b = int(rng.integers(1, left + 1))
-        blocks.append(b)
-        left -= b
-    return blocks
-
-
 def _random_copy_interaction(rng) -> hf.CopyInteraction:
     d1 = _random_dim(rng, 2, 4)
     d2 = _random_dim(rng, 2, 4)
-    p1 = oc.random_projector_set(d1, _random_blocks(rng, d1), rng)
-    p2 = oc.random_projector_set(d2, _random_blocks(rng, d2), rng)
+    p1 = oc.random_projector_set(d1, oc.random_block_sizes(d1, rng), rng)
+    p2 = oc.random_projector_set(d2, oc.random_block_sizes(d2, rng), rng)
     phases = rng.uniform(0, 2 * np.pi, size=(len(p1), len(p2)))
     return hf.build_copy_unitary(phases, p1, p2)
 
@@ -215,8 +222,8 @@ def _p_branches(rng):
 def _p_linear(rng):
     dim = _random_dim(rng, 2, 6)
     v = dp.RelativeState.from_ket(oc.random_pure_ket(dim, rng))
-    ps_a = oc.random_projector_set(dim, _random_blocks(rng, dim), rng)
-    ps_b = oc.random_projector_set(dim, _random_blocks(rng, dim), rng)
+    ps_a = oc.random_projector_set(dim, oc.random_block_sizes(dim, rng), rng)
+    ps_b = oc.random_projector_set(dim, oc.random_block_sizes(dim, rng), rng)
     a = dp.PayoffObservable(tuple(rng.standard_normal(len(ps_a))), ps_a)
     b = dp.PayoffObservable(tuple(rng.standard_normal(len(ps_b))), ps_b)
     al, be = rng.standard_normal(2)
@@ -303,13 +310,9 @@ def _p_entropy_unitary(rng):
     return abs(s1 - s2), 1e-9
 
 
-@_register("entropy.decoherence_never_decreases", 1000)
-def _p_decoherence(rng):
-    dim = _random_dim(rng)
-    rho = oc.random_density(dim, int(rng.integers(1, dim + 1)), rng)
-    ps = oc.random_projector_set(dim, _random_blocks(rng, dim), rng)
-    _, _, margin = ke.entropy_after_decoherence_geq(rho, ps)
-    return float(-margin), 1e-9
+@_register_batch("entropy.decoherence_never_decreases", 1000)
+def _p_decoherence(seed, trials):
+    return -ke.decoherence_margins(seed, trials), 1e-9
 
 
 @_register("entropy.selection_preserves_global", 100)

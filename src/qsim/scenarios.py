@@ -54,6 +54,8 @@ class ScenarioConfig:
     format: str = "json"
     uniform_weights: bool = False  # second-law: fixed uniform p_ab per trial
 
+    MAX_TRIALS = 10**7  # a class constant, not a field
+
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise UsageError(
@@ -61,6 +63,8 @@ class ScenarioConfig:
             )
         if self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > self.MAX_TRIALS:
+            raise CapacityError(f"trials {self.trials} exceeds maximum {self.MAX_TRIALS}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         seed = int(self.seed)
@@ -136,11 +140,6 @@ class RunReport:
         return buf.getvalue()
 
 
-def _run_trials(seed: int, n: int, fn) -> list:
-    """Evaluate fn(trial_index, rng) for each trial on its own substream, in index order."""
-    return [fn(t, substream(seed, t)) for t in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Individual scenarios
 
@@ -190,21 +189,7 @@ def _scenario_decoherence_demo(cfg: ScenarioConfig):
     zero = np.array([1, 0], dtype=complex)
     rho0 = oc.DensityMatrix.pure(np.kron(plus, zero), ci.layout)
     bd = hf.branch_decomposition(rho0, ci)
-
-    def margin_trial(t, rng):
-        dim = int(rng.integers(2, 9))
-        rho = oc.random_density(dim, int(rng.integers(1, dim + 1)), rng)
-        blocks = []
-        left = dim
-        while left > 0:
-            b = int(rng.integers(1, left + 1))
-            blocks.append(b)
-            left -= b
-        ps = oc.random_projector_set(dim, blocks, rng)
-        _, _, margin = ke.entropy_after_decoherence_geq(rho, ps)
-        return margin
-
-    margins = _run_trials(cfg.seed, cfg.trials, margin_trial)
+    margins = ke.decoherence_margins(cfg.seed, cfg.trials).tolist()
     results = {
         "branches": [
             {"label": str(b.label), "weight": fmt(b.weight)} for b in bd.branches
@@ -276,20 +261,25 @@ def _scenario_no_cloning(cfg: ScenarioConfig):
 
 
 def _selection_ds(cfg: ScenarioConfig, seed: int, epsilon: float) -> tuple[list, list]:
-    """ds1 and ds2 of cfg.trials imperfect selections, as one stack.
+    """ds1 and ds2 of cfg.trials imperfect selections, one stack per trial block.
 
     Trial t draws from substream(seed, t): its weights first (unless
     uniform), then its rotation generator (only when epsilon > 0).
     """
     d1, d2 = cfg.dims
-    rngs = [substream(seed, t) for t in range(cfg.trials)]
-    if cfg.uniform_weights:
-        p = np.full((cfg.trials, d1, d2), 1.0 / (d1 * d2))
-    else:
-        p = np.array([w / w.sum() for w in (rng.random((d1, d2)) for rng in rngs)])
-    lam = ke.perturbed_lams((d1, d2), epsilon, rngs)
-    sel = ke.select_stack(p, lam, np.eye(d1, dtype=complex), np.eye(d2, dtype=complex))
-    return sel.ds1.tolist(), sel.ds2.tolist()
+    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
+    ds1, ds2 = [], []
+    for block in oc.trial_blocks(cfg.trials, d1 * d2):
+        rngs = [substream(seed, t) for t in block]
+        if cfg.uniform_weights:
+            p = np.full((len(block), d1, d2), 1.0 / (d1 * d2))
+        else:
+            p = np.array([w / w.sum() for w in (rng.random((d1, d2)) for rng in rngs)])
+        lam = ke.perturbed_lams((d1, d2), epsilon, rngs)
+        sel = ke.select_stack(p, lam, eye1, eye2, trials=block)
+        ds1 += sel.ds1.tolist()
+        ds2 += sel.ds2.tolist()
+    return ds1, ds2
 
 
 def _sweep_rows(cfg: ScenarioConfig, sweep):

@@ -39,21 +39,11 @@ def report(number, description):
     return _Ctx()
 
 
-def random_blocks(rng, dim):
-    blocks = []
-    left = dim
-    while left > 0:
-        b = int(rng.integers(1, left + 1))
-        blocks.append(b)
-        left -= b
-    return blocks
-
-
 def random_copy_interaction(rng):
     d1 = int(rng.integers(2, 5))
     d2 = int(rng.integers(2, 5))
-    p1 = oc.random_projector_set(d1, random_blocks(rng, d1), rng)
-    p2 = oc.random_projector_set(d2, random_blocks(rng, d2), rng)
+    p1 = oc.random_projector_set(d1, oc.random_block_sizes(d1, rng), rng)
+    p2 = oc.random_projector_set(d2, oc.random_block_sizes(d2, rng), rng)
     phases = rng.uniform(0, 2 * np.pi, size=(len(p1), len(p2)))
     return hf.build_copy_unitary(phases, p1, p2)
 
@@ -123,7 +113,7 @@ def test_criterion_5_decoherence_inequality():
             rng = substream(400, t)
             dim = int(rng.integers(2, 9))
             rho = oc.random_density(dim, int(rng.integers(1, dim + 1)), rng)
-            ps = oc.random_projector_set(dim, random_blocks(rng, dim), rng)
+            ps = oc.random_projector_set(dim, oc.random_block_sizes(dim, rng), rng)
             _, _, margin = ke.entropy_after_decoherence_geq(rho, ps)
             assert margin >= -1e-9
             if t % 10 == 0:

@@ -1,0 +1,19 @@
+"""Smoke test of the benchmark harness: one tiny untraced decoherence run.
+
+It checks only that the harness runs end to end and that every report
+passes its workload's checks; it sets no timing bounds.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+sys.path.insert(0, str(BENCH))
+
+import run  # noqa: E402
+
+
+def test_tiny_decoherence_run_is_correct():
+    result = run.measure("decoherence", seed=3, seconds=0, trace=False, tiny=True)
+    assert result["correct"]
+    assert result["failed"] == 0

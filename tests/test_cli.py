@@ -1,5 +1,6 @@
 """CLI contract: exit codes, precedence, determinism, schemas, goldens."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -8,11 +9,18 @@ import numpy as np
 import pytest
 
 from qsim import cli, properties
+from qsim import operator_core as oc
 from qsim.scenarios import ScenarioConfig, fmt, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
 DOCS = Path(__file__).parents[1] / "docs"
+# payload hashes of the per-trial decoherence code that the stacked kernel replaced
+PARENT_SHA256 = json.loads((DATA / "decoherence_frozen.json").read_text())["payload_sha256"]
+
+
+def payload_sha256(results: dict) -> str:
+    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
 
 
 def run_cli(argv, capsys, monkeypatch, env_seed=None):
@@ -69,6 +77,39 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qsim: error: ") and fragment in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decoherence-demo", "--trials", str(10**20)],
+            ["property-suite", "--trials", str(ScenarioConfig.MAX_TRIALS + 1)],
+            ["second-law", "--dims", "8,8", "--trials", str(10**9)],
+        ],
+        ids=["decoherence", "property-override", "second-law"],
+    )
+    def test_trials_above_cap_is_capacity_error(self, capsys, monkeypatch, argv):
+        def never(*args):
+            raise AssertionError("a run past the trial cap was started")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        code, out, err = run_cli(argv, capsys, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qsim: capacity error: trials ") and "exceeds maximum" in err
+        assert err.count("\n") == 1
+
+    def test_trial_cap_in_config_file(self, capsys, monkeypatch, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"trials": ScenarioConfig.MAX_TRIALS + 1}))
+        monkeypatch.setattr(cli, "run_scenario", None)
+        code, _, err = run_cli(["property-suite", "--config", str(cfg_path)], capsys, monkeypatch)
+        assert code == 3 and err.startswith("qsim: capacity error: ")
+
+    def test_numerical_failure_is_exit_4(self, capsys, monkeypatch):
+        code, out, err = run_cli(["second-law", "--epsilon", "1e308"], capsys, monkeypatch)
+        assert code == 4
+        assert out == ""
+        assert err == "qsim: numerical error: trial 0: rho(t2) contains non-finite entries\n"
 
     def test_largest_seed_runs(self, capsys, monkeypatch):
         code, out, _ = run_cli(
@@ -134,6 +175,32 @@ class TestDeterminism:
                 assert row[f"violation_fraction_s{key[-1]}"] == fmt(violations)
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_decoherence_payload_matches_per_trial_code(self, seed):
+        report = run_scenario(ScenarioConfig("decoherence-demo", seed=seed, trials=600))
+        assert payload_sha256(report.results) == PARENT_SHA256[f"decoherence-demo:{seed}"]
+
+    @pytest.mark.parametrize("seed", [2, 3])  # seed 1: TestPropertySuite
+    def test_property_suite_payload_matches_per_trial_code(self, seed):
+        report = run_scenario(ScenarioConfig("property-suite", seed=seed))
+        assert payload_sha256(report.results) == PARENT_SHA256[f"property-suite:{seed}"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig("second-law", dims=(2, 2), trials=50, epsilon_sweep=(0.0, 0.1)),
+            ScenarioConfig("second-law", dims=(4, 4), trials=5, epsilon_sweep=(0.0, 0.2)),
+            ScenarioConfig("decoherence-demo", trials=30),
+        ],
+        ids=["second-law-2x2", "second-law-4x4", "decoherence"],
+    )
+    def test_trial_blocks_do_not_change_payloads(self, monkeypatch, cfg):
+        whole = run_scenario(cfg).results_payload()
+        # 16, 1 and 4 trials per block
+        monkeypatch.setattr(oc, "STACK_ELEMENTS", 2**8)
+        assert run_scenario(cfg).results_payload() == whole
+
+
 class TestGoldenCsv:
     def test_second_law_sweep_regenerates(self, capsys, monkeypatch, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -186,6 +253,11 @@ class TestSchemas:
             cfg = ScenarioConfig(scenario, trials=20)
             doc = json.loads(run_scenario(cfg).to_json())
             jsonschema.validate(doc, schema)
+
+    def test_trial_cap_in_schema(self):
+        schema = json.loads((DOCS / "run_report.schema.json").read_text())
+        trials = schema["properties"]["config"]["properties"]["trials"]
+        assert trials["maximum"] == ScenarioConfig.MAX_TRIALS
 
     def test_sweep_rows_validate(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -301,6 +373,7 @@ class TestPropertySuite:
         assert doc["results"]["all_passed"]
         assert not doc["results"]["reduced_confidence"]
         assert len(doc["results"]["properties"]) == len(properties.REGISTRY)
+        assert payload_sha256(doc["results"]) == PARENT_SHA256["property-suite:1"]
 
     def test_reduced_trials_flagged(self, capsys, monkeypatch):
         code, out, _ = run_cli(

@@ -16,6 +16,12 @@ PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 # ds1/ds2 per trial (float.hex) and whole selection reports, as computed by
 # the one-selection-per-trial code that preceded the stacked engine
 FROZEN = json.loads((Path(__file__).parent / "data" / "selection_frozen.json").read_text())
+# per-trial decoherence margins (float.hex), as computed one trial at a time
+# (random_density, random_projector_set, entropy_after_decoherence_geq) by
+# the code that preceded the stacked kernel
+DECOHERENCE_FROZEN = json.loads(
+    (Path(__file__).parent / "data" / "decoherence_frozen.json").read_text()
+)
 
 
 def binary_entropy(p):
@@ -188,15 +194,51 @@ class TestEntropyInequality:
             rng = substream(42, t)
             dim = int(rng.integers(2, 9))
             rho = oc.random_density(dim, int(rng.integers(1, dim + 1)), rng)
-            blocks = []
-            left = dim
-            while left > 0:
-                b = int(rng.integers(1, left + 1))
-                blocks.append(b)
-                left -= b
-            ps = oc.random_projector_set(dim, blocks, rng)
+            ps = oc.random_projector_set(dim, oc.random_block_sizes(dim, rng), rng)
             _, _, margin = ke.entropy_after_decoherence_geq(rho, ps)
             assert margin >= -1e-9
+
+
+def one_trial_margin(seed, t):
+    """A decoherence margin through the one-trial API, drawn as the kernel draws it."""
+    rng = substream(seed, t)
+    dim = int(rng.integers(2, 9))
+    rho = oc.random_density(dim, int(rng.integers(1, dim + 1)), rng)
+    ps = oc.random_projector_set(dim, oc.random_block_sizes(dim, rng), rng)
+    return ke.entropy_after_decoherence_geq(rho, ps)[2]
+
+
+class TestDecoherenceKernel:
+    @pytest.mark.parametrize("case", DECOHERENCE_FROZEN["cases"], ids=lambda c: f"seed{c['seed']}")
+    def test_matches_frozen_per_trial_margins(self, case):
+        margins = ke.decoherence_margins(case["seed"], DECOHERENCE_FROZEN["trials"])
+        assert [x.hex() for x in margins.tolist()] == case["margins"]
+
+    def test_one_trial_api_is_the_kernel(self):
+        margins = ke.decoherence_margins(3, 40)
+        assert margins.tolist() == [one_trial_margin(3, t) for t in range(40)]
+
+    def test_blocks_do_not_change_bits(self, monkeypatch):
+        whole = ke.decoherence_margins(5, 100)
+        monkeypatch.setattr(oc, "STACK_ELEMENTS", 7 * 64)  # 7 trials per block
+        np.testing.assert_array_equal(ke.decoherence_margins(5, 100), whole)
+
+    def test_never_decreases(self):
+        assert ke.decoherence_margins(6, 500).min() >= -1e-9
+
+    def test_a_failure_names_its_trial(self, monkeypatch):
+        # break the unitaries of every dim-3 trial: groups are checked in
+        # (dim, block count) order, so the error names the first trial of the
+        # dim-3 group with the fewest blocks
+        def skewed(g):
+            u = oc.haar_unitaries(g)
+            return u * 1.001 if u.shape[1] == 3 else u
+
+        monkeypatch.setattr(ke, "haar_unitaries", skewed)
+        draws = [ke._draw_decoherence_trial(substream(2, t)) for t in range(30)]
+        dim3 = [(len(blocks), t) for t, (dim, _, _, blocks, _) in enumerate(draws) if dim == 3]
+        with pytest.raises(ValidationError, match=rf"^trial {min(dim3)[1]}: operator is not unitary"):
+            ke.decoherence_margins(2, 30)
 
 
 class TestXiRotation:

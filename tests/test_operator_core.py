@@ -237,6 +237,40 @@ class TestRandomGeneration:
         with pytest.raises(UsageError):
             oc.random_projector_set(4, [1, 2], substream(7, 0))
 
+    def test_random_block_sizes_is_a_composition(self):
+        for t in range(50):
+            rng = substream(7, t)
+            blocks = oc.random_block_sizes(8, rng)
+            assert sum(blocks) == 8 and min(blocks) >= 1
+            # each size is one integers(1, left + 1) draw, in order
+            replay = substream(7, t)
+            left = 8
+            for b in blocks:
+                assert int(replay.integers(1, left + 1)) == b
+                left -= b
+            assert rng.random() == replay.random()
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_stacked_builders_match_single_trials(self, dim):
+        # one stack of several trials gives each trial's bits alone
+        rngs = [substream(8, t) for t in range(6)]
+        g = np.array([oc.ginibre((dim, dim), rng) for rng in rngs])
+        blocks = [oc.random_block_sizes(dim, rng) for rng in rngs]
+        u = oc.haar_unitaries(g)
+        for k in range(1, dim + 1):
+            same_count = [b for b in blocks if len(b) == k]
+            rows = [i for i, b in enumerate(blocks) if len(b) == k]
+            if not rows:
+                continue
+            projs = oc.block_projectors(u[rows], same_count)
+            for j, i in enumerate(rows):
+                np.testing.assert_array_equal(projs[j], oc.block_projectors(u[i : i + 1], [blocks[i]])[0])
+        for i in range(len(g)):
+            np.testing.assert_array_equal(u[i], oc.haar_unitaries(g[i : i + 1])[0])
+        dens = oc.gram_densities(g[:, :, :2])
+        for i in range(len(g)):
+            np.testing.assert_array_equal(dens[i], oc.gram_densities(g[i : i + 1, :, :2])[0])
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -280,6 +314,12 @@ class TestValidation:
         for m, row in zip(stack, evals):
             np.testing.assert_array_equal(row, np.linalg.eigvalsh(oc.DensityMatrix.from_matrix(m).mat))
 
+    def test_trial_blocks_cover_every_trial_once(self, monkeypatch):
+        monkeypatch.setattr(oc, "STACK_ELEMENTS", 100)
+        blocks = list(oc.trial_blocks(23, 3))  # 100 // 9 = 11 trials per block
+        assert [(b.start, b.stop) for b in blocks] == [(0, 11), (11, 22), (22, 23)]
+        assert [len(b) for b in oc.trial_blocks(3, 16)] == [1, 1, 1]
+
     def test_layout_capacity(self):
         with pytest.raises(CapacityError):
             oc.SubsystemLayout((8, 9))
@@ -300,3 +340,157 @@ class TestValidation:
                         expect = db.element(a, d) if b == c else np.zeros((3, 3))
                         np.testing.assert_allclose(prod, expect, atol=1e-12)
         db.projectors()  # X_aa form a valid projector set
+
+
+# ---------------------------------------------------------------------------
+# Stacked unitary and projector checks
+
+
+def old_unitary_message(m):
+    """The single-operator unitary check before the stacked one, as an oracle."""
+    if max(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max(), 0.0) > oc.TAU_UNITARY:
+        return "operator is not unitary within tolerance"
+    return None
+
+
+def old_projector_message(projs):
+    """The single-family projector checks before the stacked ones, as an oracle."""
+    dim = projs[0].shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    for p in projs:
+        if np.abs(p - p.conj().T).max() > oc.TAU_PROJ:
+            return "projector is not Hermitian"
+        if np.abs(p @ p - p).max() > oc.TAU_PROJ:
+            return "projector is not idempotent"
+        total += p
+    for i in range(len(projs)):
+        for j in range(i + 1, len(projs)):
+            if np.abs(projs[i] @ projs[j]).max() > oc.TAU_PROJ:
+                return f"projectors {i} and {j} are not orthogonal"
+    if np.abs(total - np.eye(dim)).max() > oc.TAU_PROJ:
+        return "projector set is not complete"
+    return None
+
+
+def message_of(build):
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def good_families(n=6, dim=4, blocks=(1, 2, 1)):
+    return np.array(
+        [oc.random_projector_set(dim, blocks, substream(9, t)).projectors for t in range(n)]
+    )
+
+
+def corrupt_projectors(kind, fam):
+    """Family `fam` (K, d, d) with one defect of the given kind."""
+    fam = fam.copy()
+    if kind == "non-hermitian":
+        fam[1, 0, 1] += 1e-6
+    elif kind == "non-idempotent":
+        fam[2] *= 1 + 1e-6
+    elif kind == "non-orthogonal":
+        # turn projectors 0 and 2 together, keeping each a Hermitian idempotent
+        v0 = np.linalg.eigh(fam[0])[1][:, -1]
+        v2 = np.linalg.eigh(fam[2])[1][:, -1]
+        w = (v0 + 1e-4 * v2) / np.linalg.norm(v0 + 1e-4 * v2)
+        fam[0] = np.outer(w, w.conj())
+    elif kind == "incomplete":
+        fam[1] = 0.0
+    elif kind == "nan":
+        fam[2, 1, 1] = np.nan
+    return fam
+
+
+class TestStackChecks:
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("non-hermitian", "projector is not Hermitian"),
+            ("non-idempotent", "projector is not idempotent"),
+            ("non-orthogonal", "projectors 0 and 2 are not orthogonal"),
+            ("incomplete", "projector set is not complete"),
+            ("nan", "projector contains non-finite entries"),
+        ],
+    )
+    def test_projector_stack_names_first_bad_trial(self, kind, message):
+        stack = good_families()
+        oc.check_projector_stack(stack)
+        stack[3] = corrupt_projectors(kind, stack[3])
+        stack[5] = corrupt_projectors(kind, stack[5])
+        with pytest.raises(ValidationError, match=rf"^trial 3: {message}$"):
+            oc.check_projector_stack(stack)
+        with pytest.raises(ValidationError, match=rf"^trial 13: {message}$"):
+            oc.check_projector_stack(stack, trials=range(10, 16))
+        if kind != "nan":
+            assert old_projector_message(list(stack[3])) == message
+        assert message_of(lambda: oc.ProjectorSet(tuple(stack[3]))) == message
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda u: u.__setitem__((1, 1), u[1, 1] * (1 + 1e-6)), "operator is not unitary"),
+            (lambda u: u.__setitem__((0, 2), np.nan), "unitary contains non-finite entries"),
+        ],
+        ids=["non-unitary", "nan"],
+    )
+    def test_unitary_stack_names_first_bad_trial(self, corrupt, message):
+        stack = np.array([oc.random_unitary(3, substream(9, t)).mat for t in range(5)])
+        oc.check_unitary_stack(stack)
+        corrupt(stack[2])
+        corrupt(stack[4])
+        with pytest.raises(ValidationError, match=rf"^trial 2: {message}"):
+            oc.check_unitary_stack(stack)
+        with pytest.raises(ValidationError, match=rf"^trial 7: {message}"):
+            oc.check_unitary_stack(stack, trials=[1, 3, 7, 8, 9])
+        with pytest.raises(ValidationError, match=rf"^{message}"):
+            oc.UnitaryOperator(oc.single_layout(3), stack[2])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (0, 3, 3), (2, 3, 4)])
+    def test_unitary_stack_shape(self, shape):
+        with pytest.raises(ValidationError, match="stack must have shape"):
+            oc.check_unitary_stack(np.zeros(shape))
+
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 10.0])
+    @pytest.mark.parametrize(
+        "kind, size", [("hermitian", 1.0), ("anti-hermitian", 0.3), ("rotation", 1.0)]
+    )
+    def test_projector_set_near_misses_decided_as_before(self, kind, size, scale):
+        # perturbations sized so that their residuals straddle TAU_PROJ near scale 1
+        rng = substream(10, int(scale * 100))
+        decisions = set()
+        for t in range(10):
+            fam = good_families(1, 4, (2, 1, 1))[0]
+            e = oc.ginibre((4, 4), rng) * oc.TAU_PROJ * scale * size
+            k = t % 3
+            if kind == "hermitian":
+                fam[k] += (e + e.conj().T) / 2
+            elif kind == "anti-hermitian":
+                fam[k] += (e - e.conj().T) / 2
+            else:
+                # turn one projector by exp(iH): orthogonality and completeness move
+                w, v = np.linalg.eigh((e + e.conj().T) / 2)
+                r = v @ np.diag(np.exp(1j * w)) @ v.conj().T
+                fam[k] = r @ fam[k] @ r.conj().T
+            got = message_of(lambda: oc.ProjectorSet(tuple(fam)))
+            assert got == old_projector_message(fam)
+            decisions.add(got is None)
+        if scale in (0.1, 10.0):
+            assert decisions == {scale == 0.1}
+
+    @pytest.mark.parametrize("scale", [0.1, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 10.0])
+    def test_unitary_near_misses_decided_as_before(self, scale):
+        rng = substream(11, int(scale * 100))
+        decisions = set()
+        for t in range(10):
+            u = oc.random_unitary(4, rng).mat.copy()
+            u = u + oc.ginibre((4, 4), rng) * oc.TAU_UNITARY * scale / 2
+            got = message_of(lambda: oc.UnitaryOperator.from_matrix(u))
+            assert got == old_unitary_message(u)
+            decisions.add(got is None)
+        if scale in (0.1, 10.0):
+            assert decisions == {scale == 0.1}
