@@ -24,6 +24,7 @@ from .operator_core import (
     is_hermitian,
     max_abs,
     tensor_product,
+    weighted_sum,
 )
 from .rng import first_uniforms
 
@@ -77,11 +78,7 @@ class PayoffObservable:
         object.__setattr__(self, "eigenvalues", vals)
 
     def matrix(self) -> np.ndarray:
-        dim = self.projectors.dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for v, p in zip(self.eigenvalues, self.projectors.projectors):
-            out += v * p
-        return out
+        return weighted_sum(self.eigenvalues, self.projectors.projectors)
 
 
 def payoff_product(v: RelativeState, a: PayoffObservable) -> np.ndarray:

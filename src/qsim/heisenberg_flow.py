@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import AnalysisError, UsageError, ValidationError
 from .operator_core import (
-    TAU_RECON,
     DensityMatrix,
     ProjectorSet,
     SpectralDecomposition,
@@ -23,9 +22,11 @@ from .operator_core import (
     computational_projectors,
     dagger,
     evolve_state,
-    is_hermitian,
+    kron_stack,
     max_abs,
+    partial_trace_matrix,
     tensor_product,
+    weighted_sum,
 )
 
 
@@ -76,21 +77,17 @@ class ObservableSpec:
         )
 
     def matrix(self) -> np.ndarray:
-        dim = self.projectors.dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for c, p in zip(self.coefficients, self.projectors.projectors):
-            out += c * p
-        return out
+        return weighted_sum(self.coefficients, self.projectors.projectors)
 
 
 @dataclass(frozen=True)
 class CopyInteraction:
-    """U = sum_ab exp(i phi_ab) P_1a x P_2b on S1 x S2."""
+    """U = sum_ab exp(i phi_ab) P_1a x P_2b on S1 x S2, built from its parts."""
 
     phases: np.ndarray  # rows indexed by S1 labels, columns by S2 labels
     proj1: ProjectorSet
     proj2: ProjectorSet
-    unitary: UnitaryOperator
+    unitary: UnitaryOperator = field(init=False)
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
@@ -102,9 +99,9 @@ class CopyInteraction:
         phases = phases.copy()
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
-        recon = _copy_unitary_matrix(phases, self.proj1, self.proj2)
-        if max_abs(recon - self.unitary.mat) > TAU_RECON:
-            raise ValidationError("copy interaction does not reconstruct its unitary")
+        mat = _copy_unitary_matrix(phases, self.proj1, self.proj2)
+        layout = SubsystemLayout((self.proj1.dim, self.proj2.dim))
+        object.__setattr__(self, "unitary", UnitaryOperator(layout, mat))
 
     @property
     def layout(self) -> SubsystemLayout:
@@ -118,7 +115,7 @@ def _copy_unitary_matrix(
     out = np.zeros((d, d), dtype=complex)
     for a, pa in enumerate(p1.projectors):
         for b, pb in enumerate(p2.projectors):
-            out += np.exp(1j * phases[a, b]) * tensor_product(pa, pb)
+            out += np.exp(1j * phases[a, b]) * kron_stack(pa, pb)
     return out
 
 
@@ -134,11 +131,7 @@ def build_copy_unitary(
         raise ValidationError(
             f"phase matrix shape {phases.shape} != ({len(p1)}, {len(p2)})"
         )
-    phases = phases - phases[0, 0]
-    mat = _copy_unitary_matrix(phases, p1, p2)
-    layout = SubsystemLayout((p1.dim, p2.dim))
-    u = UnitaryOperator(layout, mat)
-    return CopyInteraction(phases, p1, p2, u)
+    return CopyInteraction(phases - phases[0, 0], p1, p2)
 
 
 def cnot_interaction() -> CopyInteraction:
@@ -288,27 +281,22 @@ def analyze_copy(ci: CopyInteraction, dependence_tol: float = 1e-9) -> CopyRepor
     conjugation of I x X_2cd.
     """
     u = ci.unitary.mat
-    d1 = ci.proj1.dim
-    i1 = np.eye(d1, dtype=complex)
+    i1 = np.eye(ci.proj1.dim, dtype=complex)
     basis2, groups2 = _block_basis(ci.proj2)
-    n2 = len(ci.proj2)
+    # one representative vector, and so one dyadic X_2cd, per block
+    reps = basis2[:, [g[0] for g in groups2]].T
     table = []
     max_residual = 0.0
-    for c in range(n2):
-        for d in range(n2):
-            # one representative dyadic per (c, d) block pair
-            vc = basis2[:, groups2[c][0]]
-            vd = basis2[:, groups2[d][0]]
-            x_cd = np.outer(vc, vd.conj())
-            phases = ci.phases[:, d] - ci.phases[:, c]
-            weighted = sum(
-                np.exp(1j * phases[a]) * pa for a, pa in enumerate(ci.proj1.projectors)
-            )
-            predicted = tensor_product(weighted, x_cd)
-            brute = dagger(u) @ tensor_product(i1, x_cd) @ u
-            max_residual = max(max_residual, max_abs(predicted - brute))
-            copied = _phase_spread(phases) > dependence_tol
-            table.append(DyadicEntry(c, d, tuple(float(p) % (2 * np.pi) for p in phases), copied))
+    for c, vc in enumerate(reps):
+        # the dyadics X_2cd of every d, and their phase rows (d, a)
+        x_c = vc[:, None] * reps.conj()[:, None, :]
+        phases = ci.phases.T - ci.phases[:, c]
+        predicted = kron_stack(weighted_sum(np.exp(1j * phases), ci.proj1.projectors), x_c)
+        brute = dagger(u) @ kron_stack(i1, x_c) @ u
+        max_residual = max(max_residual, max_abs(predicted - brute))
+        for d, row in enumerate(phases):
+            copied = _phase_spread(row) > dependence_tol
+            table.append(DyadicEntry(c, d, tuple(float(p) % (2 * np.pi) for p in row), copied))
     copied_into_2 = ci.proj1.labels if _copies_labels(ci.phases, dependence_tol) else ()
     copied_into_1 = ci.proj2.labels if _copies_labels(ci.phases.T, dependence_tol) else ()
     return CopyReport(tuple(table), copied_into_2, copied_into_1, max_residual)
@@ -338,16 +326,16 @@ def _fixed_s1_operator_space(u: UnitaryOperator) -> list[np.ndarray]:
     if u.layout.n_factors != 2:
         raise UsageError("copiable-family analysis needs a two-factor layout")
     d1, d2 = u.layout.factor_dims
-    i2 = np.eye(d2, dtype=complex)
     um = u.mat
-    cols = []
+    units = np.eye(d1 * d1, dtype=complex).reshape(d1, d1, d1, d1)  # units[i, j] = E_ij
+    i2 = np.eye(d2, dtype=complex)
+    # column i d1 + j of m is U-dagger (E_ij x I) U - E_ij x I, flattened;
+    # one stacked conjugation per i keeps the temporaries at d1 matrices
+    mt = np.empty((d1, d1, (d1 * d2) ** 2), dtype=complex)
     for i in range(d1):
-        for j in range(d1):
-            e = np.zeros((d1, d1), dtype=complex)
-            e[i, j] = 1.0
-            lifted = np.kron(e, i2)
-            cols.append((dagger(um) @ lifted @ um - lifted).flatten())
-    m = np.column_stack(cols)
+        lifted = kron_stack(units[i], i2)
+        mt[i] = (dagger(um) @ lifted @ um - lifted).reshape(d1, -1)
+    m = mt.reshape(d1 * d1, -1).T
     # m has d1^2 d2^2 >= d1^2 rows, so the thin SVD already holds every
     # right singular vector; U itself is never read
     _, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -384,25 +372,20 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
     fixed = _fixed_s1_operator_space(u)
     if len(fixed) >= d1 * d1:
         return CopiableFamilies((), only_trivial=False, degenerate_identity=True)
-    # center of the fixed algebra: fixed elements commuting with all of it
-    cols = []
-    for idx, h in enumerate(fixed):
-        comms = np.concatenate([(h @ g - g @ h).flatten() for g in fixed])
-        cols.append(comms)
-    m = np.column_stack([c for c in cols])
+    # center of the fixed algebra: fixed elements commuting with all of it;
+    # column k of m stacks the commutators [H_k, G] over every G
+    f = np.array(fixed)
+    m = (f[:, None] @ f[None, :] - f[None, :] @ f[:, None]).reshape(len(fixed), -1).T
     # solve for real coefficient vectors x with sum_k x_k [H_k, G] = 0 for all G
     mr = np.vstack([m.real, m.imag])
     _, s, vh = np.linalg.svd(mr, full_matrices=False)
     nullity = int(np.count_nonzero(s < 1e-10))
-    center = [
-        sum(vh[len(fixed) - 1 - k][j] * fixed[j] for j in range(len(fixed)))
-        for k in range(nullity)
-    ]
+    center = weighted_sum(vh[len(fixed) - 1 - np.arange(nullity)], fixed)
     best: ProjectorSet | None = None
     for attempt in range(4):
         # deterministic generic element of the center
         coeffs = np.cos(np.arange(1, len(center) + 1) * (1.7 + attempt))
-        g = sum(c * h for c, h in zip(coeffs, center))
+        g = weighted_sum(coeffs, center)
         g = (g + dagger(g)) / 2
         evals, evecs = np.linalg.eigh(g)
         projs = []
@@ -416,11 +399,8 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
             family = ProjectorSet(tuple(sorted(projs, key=_atom_order_key)))
         except ValidationError:
             continue
-        i2 = np.eye(u.layout.factor_dims[1], dtype=complex)
-        ok = all(
-            max_abs(dagger(u.mat) @ np.kron(p, i2) @ u.mat - np.kron(p, i2)) <= 1e-9
-            for p in family.projectors
-        )
+        lifted = kron_stack(np.array(family.projectors), np.eye(u.layout.factor_dims[1], dtype=complex))
+        ok = max_abs(dagger(u.mat) @ lifted @ u.mat - lifted) <= 1e-9
         if ok and (best is None or len(family) > len(best)):
             best = family
             if len(best) == d1:
@@ -447,17 +427,12 @@ def no_cloning_demo(
     """
     if any(r != 1 for r in copier.proj1.ranks()):
         raise UsageError("no-cloning demo needs rank-1 projectors on S1")
-    d2 = copier.proj2.dim
     blank = np.asarray(blank, dtype=complex).reshape(-1)
     blank = blank / np.linalg.norm(blank)
     basis1, _ = _block_basis(copier.proj1)
     # per-branch target pointer state: U_a |blank> with U_a = sum_b e^{i phi_ab} P_2b
-    betas = []
-    for a in range(len(copier.proj1)):
-        ua = np.zeros((d2, d2), dtype=complex)
-        for b, pb in enumerate(copier.proj2.projectors):
-            ua += np.exp(1j * copier.phases[a, b]) * pb
-        betas.append(ua @ blank)
+    uas = weighted_sum(np.exp(1j * copier.phases), copier.proj2.projectors)
+    betas = [ua @ blank for ua in uas]
     fidelities = []
     for psi in source_states:
         psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -541,7 +516,7 @@ def branch_decomposition(
             if i == j:
                 continue
             block = lifted[i][1] @ rho_out.mat @ lifted[j][1]
-            reduced = np.einsum("ikjk->ij", block.reshape(dims + dims))
+            reduced = partial_trace_matrix(block, dims, (0,))
             cross1 = max(cross1, max_abs(reduced))
     # interference visible on S2 alone, blocks taken in the copied basis of S2
     cross2 = 0.0
@@ -556,15 +531,3 @@ def branch_decomposition(
                 sub = rho2_blocks[np.ix_(groups2[c], groups2[d])]
                 cross2 = max(cross2, max_abs(sub))
     return BranchDecomposition(tuple(branches), cross1, cross2, rho_out)
-
-
-def partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace on a raw matrix, bypassing DensityMatrix validation."""
-    n = len(dims)
-    t = mat.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + n + i) if i in keep else row[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
-    d = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(d, d)

@@ -134,7 +134,7 @@ class DensityMatrix:
 
     @staticmethod
     def from_matrix(mat: np.ndarray, layout: SubsystemLayout | None = None) -> "DensityMatrix":
-        mat = as_matrix(mat)
+        mat = as_matrix(mat, "density matrix")
         if layout is None:
             layout = single_layout(mat.shape[0])
         return DensityMatrix(layout, mat)
@@ -205,6 +205,11 @@ def check_density_stack(
     return evals
 
 
+def orthonormal_columns(q: np.ndarray) -> bool:
+    """The Gram check of a range basis (d, n): max|Q-dagger Q - I| <= TAU_PROJ / (2d)."""
+    return max_abs(dagger(q) @ q - np.eye(q.shape[1])) <= TAU_PROJ / (2 * q.shape[0])
+
+
 def _unitary_defect(u: np.ndarray) -> tuple[int, str] | None:
     """First (row, message) of a finite stack (N, d, d) that is not unitary within TAU_UNITARY."""
     err = _max_abs_rows(dagger(u) @ u - np.eye(u.shape[-1]))
@@ -223,21 +228,22 @@ def check_unitary_stack(mats: np.ndarray, trials: Sequence[int] | None = None) -
         raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
 
 
-def _projector_defect(p: np.ndarray) -> tuple[int, str] | None:
+def _projector_defect(p: np.ndarray, pairwise: bool = True) -> tuple[int, str] | None:
     """First (row, message) of a finite stack (N, K, d, d) of K-projector families
     that fails ProjectorSet's checks at TAU_PROJ, or None.
 
     The checks run in ProjectorSet's order: each projector Hermitian, then
     idempotent, in k order; every pair (i, j), i < j, orthogonal; the family
-    complete.  Each check flags every row at once.
+    complete.  Each check flags every row at once.  pairwise=False skips
+    idempotence and orthogonality (see ProjectorSet).
     """
     herm = _max_abs_rows(p - dagger(p)) > TAU_PROJ
-    idem = _max_abs_rows(p @ p - p) > TAU_PROJ
+    idem = _max_abs_rows(p @ p - p) > TAU_PROJ if pairwise else np.zeros_like(herm)
     if (n := first_trial((herm | idem).any(axis=1))) is not None:
         k = first_trial(herm[n] | idem[n])
         return n, "projector is not Hermitian" if herm[n, k] else "projector is not idempotent"
     count = p.shape[1]
-    if count > 1:
+    if pairwise and count > 1:
         # row i against rows i+1.., so each pair is multiplied once
         orth = np.concatenate(
             [_max_abs_rows(p[:, i, None] @ p[:, i + 1 :]) for i in range(count - 1)], axis=1
@@ -285,7 +291,7 @@ class UnitaryOperator:
 
     @staticmethod
     def from_matrix(mat: np.ndarray, layout: SubsystemLayout | None = None) -> "UnitaryOperator":
-        mat = as_matrix(mat)
+        mat = as_matrix(mat, "unitary")
         if layout is None:
             layout = single_layout(mat.shape[0])
         return UnitaryOperator(layout, mat)
@@ -293,23 +299,44 @@ class UnitaryOperator:
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Orthogonal, complete family of Hermitian idempotents."""
+    """Orthogonal, complete family of Hermitian idempotents.
+
+    Every family is checked Hermitian and complete.  A `from_blocks` family
+    (projector k is V V-dagger for the k-th column block V of Q) passing the
+    Gram check max|E| <= TAU_PROJ / (2d), E = Q-dagger Q - I, skips the
+    idempotence and pairwise orthogonality checks: each entry of P_i P_j
+    (i != j) or P_k^2 - P_k is one of some Q_i E_ij Q_j-dagger, so at most
+    (1 + ||E||) ||E|| <= TAU_PROJ, as ||E|| <= d max|E|.
+    """
 
     projectors: tuple[np.ndarray, ...]
     labels: tuple = ()
+    # (Q, block sizes) of a from_blocks family; the projectors are derived from it
+    range_basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        projs = tuple(_freeze(as_matrix(p, "projector")) for p in self.projectors)
-        object.__setattr__(self, "projectors", projs)
-        if not projs:
+        if self.range_basis is None:
+            mats = [as_matrix(p, "projector") for p in self.projectors]
+        else:
+            q, sizes = self.range_basis
+            if q.ndim != 2 or not q.size or min(sizes, default=0) < 1 or sum(sizes) != q.shape[1]:
+                raise ValidationError(f"range basis {q.shape} does not split into blocks {list(sizes)}")
+            mats = block_projectors(q[None], [sizes])[0]
+            if not np.isfinite(mats).all():
+                raise ValidationError("projector contains non-finite entries")
+        if not len(mats):
             raise ValidationError("projector set must be nonempty")
-        labels = self.labels or tuple(range(len(projs)))
-        if len(labels) != len(projs):
+        labels = self.labels or tuple(range(len(mats)))
+        if len(labels) != len(mats):
             raise ValidationError("label count must match projector count")
         object.__setattr__(self, "labels", tuple(labels))
-        if any(p.shape != projs[0].shape for p in projs):
+        if any(p.shape != mats[0].shape for p in mats):
             raise ValidationError("projectors have mismatched dims")
-        if (defect := _projector_defect(np.array(projs)[None])) is not None:
+        stack = _freeze(mats)
+        object.__setattr__(self, "projectors", tuple(stack))
+        # a basis that fails the Gram check gets the pairwise checks and their messages
+        pairwise = self.range_basis is None or not orthonormal_columns(self.range_basis[0])
+        if (defect := _projector_defect(stack[None], pairwise)) is not None:
             raise ValidationError(defect[1])
 
     @property
@@ -323,14 +350,15 @@ class ProjectorSet:
         return tuple(int(round(np.trace(p).real)) for p in self.projectors)
 
     @staticmethod
+    def from_blocks(q: np.ndarray, sizes: Sequence[int], labels: tuple = ()) -> "ProjectorSet":
+        """Projectors onto the consecutive column blocks of an orthonormal matrix."""
+        q = np.asarray(q, dtype=complex)
+        return ProjectorSet((), labels, (q, tuple(int(b) for b in sizes)))
+
+    @staticmethod
     def from_basis(vectors: np.ndarray, labels: tuple = ()) -> "ProjectorSet":
         """Rank-1 set from the columns of an orthonormal matrix."""
-        vectors = np.asarray(vectors, dtype=complex)
-        projs = tuple(
-            np.outer(vectors[:, k], vectors[:, k].conj())
-            for k in range(vectors.shape[1])
-        )
-        return ProjectorSet(projs, labels)
+        return ProjectorSet.from_blocks(vectors, [1] * np.shape(vectors)[-1], labels)
 
 
 def computational_projectors(dim: int) -> ProjectorSet:
@@ -349,19 +377,12 @@ class SpectralDecomposition:
         object.__setattr__(self, "phases", phases)
         if len(phases) != len(self.projectors):
             raise ValidationError("phase count must match projector count")
-        for i in range(len(phases)):
-            for j in range(i + 1, len(phases)):
-                gap = abs(phases[i] - phases[j])
-                gap = min(gap, TWO_PI - gap)
-                if gap <= TAU_PHASE:
-                    raise ValidationError("phases are not distinct beyond tolerance")
+        gap = np.abs(np.subtract.outer(phases, phases))[np.triu_indices(len(phases), 1)]
+        if np.any(np.minimum(gap, TWO_PI - gap) <= TAU_PHASE):
+            raise ValidationError("phases are not distinct beyond tolerance")
 
     def reconstruct(self) -> np.ndarray:
-        dim = self.projectors.dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for phi, p in zip(self.phases, self.projectors.projectors):
-            out += np.exp(1j * phi) * p
-        return out
+        return weighted_sum([np.exp(1j * phi) for phi in self.phases], self.projectors.projectors)
 
 
 @dataclass(frozen=True)
@@ -395,6 +416,22 @@ def build_dyadic_basis(vectors: np.ndarray) -> DyadicBasis:
 # Operations
 
 
+def kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each pair in broadcast stacks (..., m, m), (..., n, n), bit for bit."""
+    m, n = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * n, m * n))
+
+
+def weighted_sum(weights, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k w_k M_k accumulated onto zeros in k order, for weights (K,) or a stack (..., K)."""
+    w = np.asarray(weights)
+    out = np.zeros(w.shape[:-1] + mats[0].shape, dtype=complex)
+    for k, m in enumerate(mats):
+        out += w[..., k, None, None] * m
+    return out
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_TOTAL_DIM) -> np.ndarray:
     """Kronecker product; entry ((i1 i2),(j1 j2)) = a[i1,j1] * b[i2,j2]."""
     a = as_matrix(a, "tensor factor a")
@@ -403,22 +440,27 @@ def tensor_product(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_TOTAL_DIM) -
         raise CapacityError(
             f"tensor product dim {a.shape[0] * b.shape[0]} exceeds maximum {max_dim}"
         )
-    return np.kron(a, b)
+    return kron_stack(a, b)
+
+
+def partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of a raw matrix onto the kept factors (sorted indices), unvalidated."""
+    n = len(dims)
+    t = mat.reshape(dims + dims)
+    row = [chr(ord("a") + i) for i in range(n)]
+    col = [chr(ord("a") + n + i) if i in keep else row[i] for i in range(n)]
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
+    d = int(np.prod([dims[i] for i in keep]))
+    return reduced.reshape(d, d)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept factors."""
     keep = rho.layout.validate_indices(keep)
     dims = rho.layout.factor_dims
-    n = len(dims)
-    t = rho.mat.reshape(dims + dims)
-    row = [chr(ord("a") + i) for i in range(n)]
-    col = [chr(ord("a") + n + i) if i in keep else row[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
-    kept_dims = tuple(dims[i] for i in keep)
-    d = int(np.prod(kept_dims))
-    return DensityMatrix(SubsystemLayout(kept_dims), reduced.reshape(d, d))
+    kept = SubsystemLayout(tuple(dims[i] for i in keep))
+    return DensityMatrix(kept, partial_trace_matrix(rho.mat, dims, keep))
 
 
 def hermitian_eigendecomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,15 +497,12 @@ def spectral_decompose_unitary(u: UnitaryOperator) -> SpectralDecomposition:
     eigs = np.diag(t)
     phases = np.mod(np.angle(eigs), TWO_PI)
     clusters = _cluster_phases(phases)
-    out_phases = []
-    out_projs = []
-    for members in clusters:
-        vecs = q[:, members]
-        out_projs.append(vecs @ dagger(vecs))
-        # circular mean of the member phases
-        rep = float(np.angle(np.sum(np.exp(1j * phases[members])))) % TWO_PI
-        out_phases.append(rep)
-    sd = SpectralDecomposition(tuple(out_phases), ProjectorSet(tuple(out_projs)))
+    # circular mean of each cluster's member phases
+    out_phases = tuple(
+        float(np.angle(np.sum(np.exp(1j * phases[members])))) % TWO_PI for members in clusters
+    )
+    family = ProjectorSet.from_blocks(q[:, np.concatenate(clusters)], [len(c) for c in clusters])
+    sd = SpectralDecomposition(out_phases, family)
     if max_abs(sd.reconstruct() - u.mat) > TAU_RECON:
         raise ValidationError("spectral decomposition failed to reconstruct the unitary")
     return sd
@@ -569,8 +608,7 @@ def random_projector_set(
     block_sizes = [int(b) for b in block_sizes]
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != dim:
         raise UsageError(f"block sizes {block_sizes} must be positive and sum to {dim}")
-    u = random_unitary(dim, rng).mat
-    return ProjectorSet(tuple(block_projectors(u[None], [block_sizes])[0]))
+    return ProjectorSet.from_blocks(random_unitary(dim, rng).mat, block_sizes)
 
 
 def random_pure_ket(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ DATA = Path(__file__).parent / "data"
 DOCS = Path(__file__).parents[1] / "docs"
 # payload hashes of the per-trial decoherence code that the stacked kernel replaced
 PARENT_SHA256 = json.loads((DATA / "decoherence_frozen.json").read_text())["payload_sha256"]
+# copy-demo payload hashes of the analysis that built each copy unitary twice
+COPY_FROZEN = json.loads((DATA / "copy_frozen.json").read_text())
 
 
 def payload_sha256(results: dict) -> str:
@@ -144,6 +148,40 @@ class TestExitCodes:
         assert bad and bad[0]["repro"] == {"seed": 1, "trial_index": 0}
 
 
+_COPY_HASHES = """
+import hashlib, json, sys
+from qsim.scenarios import ScenarioConfig, run_scenario
+
+out = {}
+for key in sys.argv[1:]:
+    dims, seed = key.split(":")
+    cfg = ScenarioConfig("copy-demo", seed=int(seed), dims=tuple(map(int, dims.split(","))))
+    payload = json.dumps(run_scenario(cfg).results, sort_keys=True)
+    out[key] = hashlib.sha256(payload.encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def copy_payload_hashes():
+    """copy-demo payload hashes, run with the BLAS thread count they were frozen at.
+
+    From 5x5 up the SVD and products are large enough that OpenBLAS splits
+    them across threads, and the payload bits change with the thread count,
+    so the cases run in one fresh interpreter with the count pinned.
+    """
+    threads = str(COPY_FROZEN["blas_threads"])
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    keys = sorted(COPY_FROZEN["payload_sha256"])
+    done = subprocess.run(
+        [sys.executable, "-c", _COPY_HASHES, *keys],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
 class TestDeterminism:
     def test_results_payload_byte_identical(self):
         cfg = ScenarioConfig("second-law", seed=9, trials=20, epsilon_sweep=(0.0, 0.1))
@@ -184,6 +222,10 @@ class TestDeterminism:
     def test_property_suite_payload_matches_per_trial_code(self, seed):
         report = run_scenario(ScenarioConfig("property-suite", seed=seed))
         assert payload_sha256(report.results) == PARENT_SHA256[f"property-suite:{seed}"]
+
+    @pytest.mark.parametrize("key", sorted(COPY_FROZEN["payload_sha256"]))
+    def test_copy_payload_matches_frozen(self, copy_payload_hashes, key):
+        assert copy_payload_hashes[key] == COPY_FROZEN["payload_sha256"][key]
 
     @pytest.mark.parametrize(
         "cfg",

@@ -127,6 +127,15 @@ class TestBuildCopyUnitary:
         ci = hf.build_copy_unitary(np.full((2, 2), 1.3), p, p)
         assert ci.phases[0, 0] == 0.0
 
+    def test_unitary_derived_from_parts_and_validated(self):
+        cnot = hf.cnot_interaction()
+        ci = hf.CopyInteraction(cnot.phases, cnot.proj1, cnot.proj2)
+        assert isinstance(ci.unitary, oc.UnitaryOperator)
+        assert ci.layout.factor_dims == (2, 2)
+        np.testing.assert_array_equal(ci.unitary.mat, cnot.unitary.mat)
+        with pytest.raises(ValidationError, match="^unitary contains non-finite entries$"):
+            hf.CopyInteraction(np.array([[0.0, np.nan], [0.0, 0.0]]), cnot.proj1, cnot.proj2)
+
 
 class TestCheckInvariance:
     def test_observable_on_proj1_invariant(self):
@@ -195,6 +204,25 @@ class TestAnalyzeCopy:
         p = oc.computational_projectors(2)
         report = hf.analyze_copy(hf.build_copy_unitary(np.full((2, 2), 0.7), p, p))
         assert not any(e.copied for e in report.dyadic_table)
+
+    @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 2), (4, 4), (8, 8)])
+    def test_stacked_conjugations_match_per_dyadic_loop(self, d1, d2):
+        # the per-dyadic products the stacked ones replaced, as the bit-exact reference
+        ci = random_copy_interaction(substream(24, 10 * d1 + d2), d1, d2)
+        u = ci.unitary.mat
+        basis2, groups2 = hf._block_basis(ci.proj2)
+        worst, table = 0.0, []
+        for c in range(len(groups2)):
+            for d in range(len(groups2)):
+                x = np.outer(basis2[:, groups2[c][0]], basis2[:, groups2[d][0]].conj())
+                phases = ci.phases[:, d] - ci.phases[:, c]
+                weighted = sum(np.exp(1j * phases[a]) * p for a, p in enumerate(ci.proj1.projectors))
+                brute = u.conj().T @ np.kron(np.eye(d1, dtype=complex), x) @ u
+                worst = max(worst, oc.max_abs(np.kron(weighted, x) - brute))
+                table.append((c, d, tuple(float(p) % (2 * np.pi) for p in phases)))
+        report = hf.analyze_copy(ci)
+        assert report.max_residual == worst
+        assert [(e.c, e.d, e.phases_by_a) for e in report.dyadic_table] == table
 
     def test_report_serializes(self):
         report = hf.analyze_copy(hf.cnot_interaction())

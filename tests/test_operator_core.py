@@ -1,7 +1,10 @@
 """Core matrix algebra, state primitives, and random generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qsim import operator_core as oc
 from qsim.errors import CapacityError, UsageError, ValidationError
@@ -46,6 +49,29 @@ class TestTensorProduct:
         big = np.eye(16, dtype=complex)
         with pytest.raises(CapacityError):
             oc.tensor_product(big, np.eye(8, dtype=complex))
+
+    @pytest.mark.parametrize("da, db", [(1, 1), (1, 8), (2, 3), (3, 2), (4, 4), (8, 8)])
+    def test_bits_equal_np_kron(self, da, db):
+        rng = substream(12, 10 * da + db)
+
+        def factor(d):
+            m = oc.ginibre((d, d), rng)
+            # about a third of the parts are exact zeros, of either sign
+            for part in (m.real, m.imag):
+                zero = rng.random((d, d)) < 0.3
+                part[zero] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zero)))
+            return m
+
+        a, b = factor(da), factor(db)
+        got, want = oc.tensor_product(a, b), np.kron(a, b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        # a stack of factor pairs gives each pair's product
+        stack = oc.kron_stack(np.array([a, a.conj()]), np.array([b, -b]))
+        for got, want in zip(stack, (np.kron(a, b), np.kron(a.conj(), -b))):
+            assert np.array_equal(got.view(float), want.view(float))
+            assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 class TestPartialTrace:
@@ -328,6 +354,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             oc.ProjectorSet((np.diag([1.0, 0.0]).astype(complex),))
 
+    @pytest.mark.parametrize(
+        "build, name",
+        [(oc.UnitaryOperator.from_matrix, "unitary"), (oc.DensityMatrix.from_matrix, "density matrix")],
+    )
+    def test_from_matrix_names_its_operator(self, build, name):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = np.nan
+        with pytest.raises(ValidationError, match=rf"^{name} contains non-finite entries$"):
+            build(m)
+        with pytest.raises(ValidationError, match=rf"^{name} must be a square matrix"):
+            build(np.eye(2, 3))
+
     def test_dyadic_algebra(self):
         basis = oc.random_unitary(3, substream(7, 1)).mat
         db = oc.build_dyadic_basis(basis)
@@ -494,3 +532,76 @@ class TestStackChecks:
             decisions.add(got is None)
         if scale in (0.1, 10.0):
             assert decisions == {scale == 0.1}
+
+
+# ---------------------------------------------------------------------------
+# Range-basis validation of projector families
+
+
+def haar_or_schur_basis(source, dim, rng):
+    """Orthonormal columns as random_projector_set (Haar) or spectral_decompose_unitary (Schur) gets them."""
+    u = oc.random_unitary(dim, rng).mat
+    return u if source == "haar" else scipy.linalg.schur(u, output="complex")[1]
+
+
+class TestRangeBasis:
+    @pytest.mark.parametrize("source", ["haar", "schur"])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8, 16, 64])
+    def test_haar_and_schur_families_pass_both_checks(self, source, dim):
+        rng = substream(13, dim)
+        q = haar_or_schur_basis(source, dim, rng)
+        sizes = [1] * dim if dim <= 8 else oc.random_block_sizes(dim, rng)
+        assert oc.orthonormal_columns(q)
+        fam = oc.ProjectorSet.from_blocks(q, sizes)
+        assert fam.ranks() == tuple(sizes)
+        assert old_projector_message(fam.projectors) is None
+        assert message_of(lambda: oc.ProjectorSet(fam.projectors)) is None
+
+    @pytest.mark.parametrize("source", ["haar", "schur"])
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    @pytest.mark.parametrize("kind", ["idempotence", "orthogonality"])
+    def test_near_misses_rejected_by_both_checks(self, source, dim, kind):
+        rng = substream(14, dim)
+        q = haar_or_schur_basis(source, dim, rng).copy()
+        sizes = [1] * dim
+        if kind == "idempotence":
+            # P_0 -> (1 + delta) P_0, so P_0^2 - P_0 = delta (1 + delta) P_0
+            delta = 10 * oc.TAU_PROJ / oc.max_abs(np.outer(q[:, 0], q[:, 0].conj()))
+            q[:, 0] *= np.sqrt(1 + delta)
+            message = "projector is not idempotent"
+        else:
+            # v_1 -> v_1 + eta v_0, so P_0 P_1 = eta v_0 v_1'-dagger
+            eta = 10 * oc.TAU_PROJ / oc.max_abs(np.outer(q[:, 0], q[:, 1].conj()))
+            q[:, 1] += eta * q[:, 0]
+            message = "projectors 0 and 1 are not orthogonal"
+        assert not oc.orthonormal_columns(q)
+        projs = oc.block_projectors(q[None], [sizes])[0]
+        assert old_projector_message(list(projs)) == message
+        assert message_of(lambda: oc.ProjectorSet.from_blocks(q, sizes)) == message
+        assert message_of(lambda: oc.ProjectorSet(tuple(projs))) == message
+
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_gram_bound_implies_pairwise_bounds(self, dim):
+        # a basis just inside the Gram bound, in the worst direction for each check
+        q = haar_or_schur_basis("haar", dim, substream(15, dim)).copy()
+        edge = 0.99 * oc.TAU_PROJ / (2 * dim)
+        q[:, 0] *= np.sqrt(1 + edge)
+        q[:, 2 % dim] += edge * q[:, 1]
+        assert oc.orthonormal_columns(q)
+        fam = oc.ProjectorSet.from_blocks(q, [1] * dim)
+        assert old_projector_message(fam.projectors) is None
+
+    def test_range_basis_must_match_its_blocks(self):
+        with pytest.raises(ValidationError, match="does not split into blocks"):
+            oc.ProjectorSet.from_blocks(np.eye(3), [1, 1])
+        with pytest.raises(ValidationError, match="^projector contains non-finite entries$"):
+            oc.ProjectorSet.from_basis(np.array([[1.0, 0.0], [0.0, np.nan]]))
+        # orthonormal but too few columns: the Gram check passes, completeness does not
+        with pytest.raises(ValidationError, match="^projector set is not complete$"):
+            oc.ProjectorSet.from_blocks(np.eye(3)[:, :2], [1, 1])
+
+    def test_replace_rederives_from_the_basis(self):
+        fam = oc.ProjectorSet.from_basis(HADAMARD)
+        relabeled = dataclasses.replace(fam, labels=("+", "-"))
+        assert relabeled.labels == ("+", "-")
+        np.testing.assert_array_equal(np.array(relabeled.projectors), np.array(fam.projectors))
