@@ -1,8 +1,8 @@
 """Command-line entry point.
 
     qsim <scenario> [--seed N] [--dims 2,2] [--trials N] [--epsilon X]
-                    [--epsilon-sweep a,b,c] [--output PATH]
-                    [--format json|csv] [--config PATH]
+                    [--epsilon-sweep a,b,c] [--uniform-weights]
+                    [--output PATH] [--format json|csv] [--config PATH]
 
 Precedence: CLI flags > config file > built-in defaults.  The environment
 variable QSIM_SEED overrides the built-in default seed only.
@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 property failure, 2 usage error, 3 capacity error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,30 +22,21 @@ import sys
 from .errors import CapacityError, QsimError, UsageError
 from .scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
+# every ScenarioConfig field but the scenario, with its default
 DEFAULTS = {
-    "seed": 1,
-    "dims": (2, 2),
-    "trials": 100,
-    "epsilon": 0.1,
-    "epsilon_sweep": None,
-    "output_path": None,
-    "format": "json",
-    "uniform_weights": False,
+    f.name: f.default for f in dataclasses.fields(ScenarioConfig) if f.name != "scenario"
 }
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+# config key -> (item type, its name) of the flags given as comma-separated lists
+LIST_FLAGS = {"dims": (int, "integers"), "epsilon_sweep": (float, "reals")}
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, cast, kind: str) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(cast(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated reals, got {text!r}") from exc
+        raise UsageError(f"expected comma-separated {kind}, got {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon-sweep", type=str, default=None, help="ascending list, e.g. 0,0.05,0.1"
     )
-    p.add_argument("--output", type=str, default=None, help="report path (default stdout)")
+    p.add_argument(
+        "--output", dest="output_path", metavar="OUTPUT", help="report path (default stdout)"
+    )
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--config", type=str, default=None, help="JSON config file")
     p.add_argument(
@@ -135,26 +129,9 @@ def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None
             raise UsageError(f"QSIM_SEED must be an integer") from exc
     file_cfg = read_config_file(args.config) if args.config else {}
     merged.update(file_cfg)
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.dims is not None:
-        merged["dims"] = _parse_int_list(args.dims)
-    if args.trials is not None:
-        merged["trials"] = args.trials
-    if args.epsilon is not None:
-        merged["epsilon"] = args.epsilon
-    if args.epsilon_sweep is not None:
-        merged["epsilon_sweep"] = _parse_float_list(args.epsilon_sweep)
-    if args.output is not None:
-        merged["output_path"] = args.output
-    if args.format is not None:
-        merged["format"] = args.format
-    if args.uniform_weights:
-        merged["uniform_weights"] = True
-    if isinstance(merged["dims"], list):
-        merged["dims"] = tuple(merged["dims"])
-    if isinstance(merged["epsilon_sweep"], list):
-        merged["epsilon_sweep"] = tuple(merged["epsilon_sweep"])
+    for key in DEFAULTS:  # each flag's dest is its config key; None means not given
+        if (flag := getattr(args, key)) is not None:
+            merged[key] = _parse_list(flag, *LIST_FLAGS[key]) if key in LIST_FLAGS else flag
     cfg = ScenarioConfig(scenario=args.scenario, **merged)
     # property-suite runs registry-default counts unless trials was set explicitly
     trials_override = None

@@ -119,13 +119,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix dim {m.shape[0]} != layout total {self.layout.total_dim}"
             )
-        if not is_hermitian(m):
-            raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > TAU_TRACE:
-            raise ValidationError(f"density matrix trace {np.trace(m)} != 1")
-        evals = np.linalg.eigvalsh(m)
-        if evals.min() < -TAU_PSD:
-            raise ValidationError(f"density matrix has eigenvalue {evals.min()} < 0")
+        _, defect = _density_defect(m[None], "density matrix")
+        if defect is not None:
+            raise ValidationError(defect[1])
         object.__setattr__(self, "mat", _freeze(m))
 
     @property
@@ -181,6 +177,27 @@ def _max_abs_rows(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1))
 
 
+def _density_defect(m: np.ndarray, name: str) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """Eigenvalues of a finite stack (N, d, d), and its first (row, message) that
+    is not a density matrix, or None.
+
+    The checks run in order, each over every row at once: Hermitian within
+    TAU_HERM, unit trace within TAU_TRACE, then no eigenvalue below -TAU_PSD.
+    The eigenvalues (ascending, one row per matrix) are None when one of the
+    first two checks fails.
+    """
+    if (i := first_trial(_max_abs_rows(m - dagger(m)) > TAU_HERM)) is not None:
+        return None, (i, f"{name} is not Hermitian")
+    trace = np.trace(m, axis1=1, axis2=2)
+    if (i := first_trial(np.abs(trace - 1.0) > TAU_TRACE)) is not None:
+        return None, (i, f"{name} trace {trace[i]} != 1")
+    evals = np.linalg.eigvalsh(m)
+    low = evals.min(axis=1)
+    if (i := first_trial(low < -TAU_PSD)) is not None:
+        return evals, (i, f"{name} has eigenvalue {low[i]} < 0")
+    return evals, None
+
+
 def check_density_stack(
     mats: np.ndarray, name: str = "density matrix", trials: Sequence[int] | None = None
 ) -> np.ndarray:
@@ -193,15 +210,9 @@ def check_density_stack(
     per trial) are those DensityMatrix computes.
     """
     m = _finite_stack(mats, name, "(N, d, d)", trials)
-    if (i := first_trial(_max_abs_rows(m - dagger(m)) > TAU_HERM)) is not None:
-        raise ValidationError(f"{trial_name(i, trials)}: {name} is not Hermitian")
-    trace = np.trace(m, axis1=1, axis2=2)
-    if (i := first_trial(np.abs(trace - 1.0) > TAU_TRACE)) is not None:
-        raise ValidationError(f"{trial_name(i, trials)}: {name} trace {trace[i]} != 1")
-    evals = np.linalg.eigvalsh(m)
-    low = evals.min(axis=1)
-    if (i := first_trial(low < -TAU_PSD)) is not None:
-        raise ValidationError(f"{trial_name(i, trials)}: {name} has eigenvalue {low[i]} < 0")
+    evals, defect = _density_defect(m, name)
+    if defect is not None:
+        raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
     return evals
 
 
@@ -385,33 +396,6 @@ class SpectralDecomposition:
         return weighted_sum([np.exp(1j * phi) for phi in self.phases], self.projectors.projectors)
 
 
-@dataclass(frozen=True)
-class DyadicBasis:
-    """Orthonormal basis together with its implied dyadics |a><b|."""
-
-    dim: int
-    basis: np.ndarray  # columns are the basis vectors
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        if b.shape != (self.dim, self.dim):
-            raise ValidationError(f"basis must be {self.dim}x{self.dim}")
-        if max_abs(dagger(b) @ b - np.eye(self.dim)) > TAU_ORTH:
-            raise ValidationError("basis is not orthonormal")
-        object.__setattr__(self, "basis", _freeze(b))
-
-    def element(self, a: int, b: int) -> np.ndarray:
-        return np.outer(self.basis[:, a], self.basis[:, b].conj())
-
-    def projectors(self) -> ProjectorSet:
-        return ProjectorSet.from_basis(self.basis)
-
-
-def build_dyadic_basis(vectors: np.ndarray) -> DyadicBasis:
-    vectors = np.asarray(vectors, dtype=complex)
-    return DyadicBasis(vectors.shape[0], vectors)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 
@@ -513,22 +497,6 @@ def evolve_state(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
     if rho.dim != u.dim:
         raise UsageError(f"state dim {rho.dim} != unitary dim {u.dim}")
     return DensityMatrix(rho.layout, u.mat @ rho.mat @ dagger(u.mat))
-
-
-def range_projector(observable: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, bool]:
-    """Projector onto eigenvectors of `observable` with eigenvalue in [lo, hi).
-
-    Returns (projector, empty) where empty flags a degenerate zero projector
-    (no eigenvalue inside the range).
-    """
-    if not lo < hi:
-        raise UsageError(f"range [{lo}, {hi}) is empty")
-    evals, evecs = hermitian_eigendecomposition(observable)
-    inside = (evals >= lo) & (evals < hi)
-    if not np.any(inside):
-        return np.zeros_like(np.asarray(observable, dtype=complex)), True
-    vecs = evecs[:, inside]
-    return vecs @ dagger(vecs), False
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,15 +26,6 @@ from .errors import CapacityError, UsageError
 from .rng import substream
 
 MAX_SEED = 2**64 - 1  # seeds are 64-bit; larger ones would alias smaller ones
-
-SCENARIOS = (
-    "copy-demo",
-    "decoherence-demo",
-    "payoff-demo",
-    "no-cloning",
-    "second-law",
-    "property-suite",
-)
 
 
 def fmt(x: float) -> str:
@@ -94,19 +85,6 @@ class ScenarioConfig:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "seed", seed)
 
-    def echo(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "epsilon_sweep": list(self.epsilon_sweep) if self.epsilon_sweep else None,
-            "format": self.format,
-            "output_path": self.output_path,
-            "uniform_weights": self.uniform_weights,
-        }
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -134,26 +112,30 @@ class RunReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        for row in self.csv_rows:
-            w.writerow(row)
+        csv.writer(buf, lineterminator="\n").writerows(self.csv_rows)
         return buf.getvalue()
 
 
+def _table(header: tuple, records: list[dict], keys: tuple | None = None) -> tuple[tuple, ...]:
+    """CSV rows: the header, then each results record's values at `keys` (default: the header)."""
+    return (header,) + tuple(tuple(r[k] for k in keys or header) for r in records)
+
+
 # ---------------------------------------------------------------------------
-# Individual scenarios
+# Individual scenarios: each maps (config, property-suite trials override) to
+# (results, csv rows)
 
 
-def _scenario_copy_demo(cfg: ScenarioConfig):
+def _scenario_copy_demo(cfg: ScenarioConfig, trials_override: int | None):
     if len(cfg.dims) != 2:
         raise UsageError(
             f"copy-demo needs exactly two factor dims, each >= 2, got {list(cfg.dims)}"
         )
-    if tuple(cfg.dims) == (2, 2):
+    if cfg.dims == (2, 2):
         ci = hf.cnot_interaction()
     else:
         rng = substream(cfg.seed, 0)
-        d1, d2 = cfg.dims[0], cfg.dims[1]
+        d1, d2 = cfg.dims
         p1 = oc.random_projector_set(d1, [1] * d1, rng)
         p2 = oc.random_projector_set(d2, [1] * d2, rng)
         phases = rng.uniform(0, 2 * np.pi, size=(d1, d2))
@@ -183,7 +165,7 @@ def _scenario_copy_demo(cfg: ScenarioConfig):
     return results, tuple(rows)
 
 
-def _scenario_decoherence_demo(cfg: ScenarioConfig):
+def _scenario_decoherence_demo(cfg: ScenarioConfig, trials_override: int | None):
     ci = hf.cnot_interaction()
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     zero = np.array([1, 0], dtype=complex)
@@ -203,10 +185,7 @@ def _scenario_decoherence_demo(cfg: ScenarioConfig):
             "violations": sum(1 for m in margins if m < -1e-9),
         },
     }
-    rows = [("branch_label", "weight")]
-    for b in bd.branches:
-        rows.append((str(b.label), fmt(b.weight)))
-    return results, tuple(rows)
+    return results, _table(("branch_label", "weight"), results["branches"], ("label", "weight"))
 
 
 def _worked_qubit_example():
@@ -219,7 +198,7 @@ def _worked_qubit_example():
     return v, a
 
 
-def _scenario_payoff_demo(cfg: ScenarioConfig):
+def _scenario_payoff_demo(cfg: ScenarioConfig, trials_override: int | None):
     v, a = _worked_qubit_example()
     payoff = dp.expected_payoff(v, a)
     freq = dp.frequency_experiment(v, a, cfg.trials, cfg.seed)
@@ -241,7 +220,7 @@ def _scenario_payoff_demo(cfg: ScenarioConfig):
     return results, freq.csv_rows()
 
 
-def _scenario_no_cloning(cfg: ScenarioConfig):
+def _scenario_no_cloning(cfg: ScenarioConfig, trials_override: int | None):
     ci = hf.cnot_interaction()
     zero = np.array([1, 0], dtype=complex)
     one = np.array([0, 1], dtype=complex)
@@ -254,10 +233,7 @@ def _scenario_no_cloning(cfg: ScenarioConfig):
             {"source": n, "fidelity": fmt(f)} for n, f in zip(names, fids)
         ],
     }
-    rows = [("source", "fidelity")] + [
-        (n, fmt(f)) for n, f in zip(names, fids)
-    ]
-    return results, tuple(rows)
+    return results, _table(("source", "fidelity"), results["fidelities"])
 
 
 def _selection_ds(cfg: ScenarioConfig, seed: int, epsilon: float) -> tuple[list, list]:
@@ -282,72 +258,35 @@ def _selection_ds(cfg: ScenarioConfig, seed: int, epsilon: float) -> tuple[list,
     return ds1, ds2
 
 
-def _sweep_rows(cfg: ScenarioConfig, sweep):
+def _sweep_row(cfg: ScenarioConfig, i: int, epsilon: float) -> dict:
+    # per-epsilon substream block keeps rows independent of sweep shape
+    ds1, ds2 = _selection_ds(cfg, cfg.seed + i, epsilon)
+    return {
+        "epsilon": fmt(epsilon),
+        "trials": cfg.trials,
+        "mean_ds1": fmt(sum(ds1) / len(ds1)),
+        "mean_ds2": fmt(sum(ds2) / len(ds2)),
+        "violation_fraction_s1": fmt(sum(1 for d in ds1 if d < -1e-9) / len(ds1)),
+        "violation_fraction_s2": fmt(sum(1 for d in ds2 if d < -1e-9) / len(ds2)),
+    }
+
+
+def _scenario_second_law(cfg: ScenarioConfig, trials_override: int | None):
     if len(cfg.dims) != 2:
         raise UsageError("second-law scenario needs exactly two factors")
-    rows = []
-    for i, eps in enumerate(sweep):
-        # per-epsilon substream block keeps rows independent of sweep shape
-        ds1, ds2 = _selection_ds(cfg, cfg.seed + i, eps)
-        rows.append(
-            {
-                "epsilon": eps,
-                "trials": cfg.trials,
-                "mean_ds1": sum(ds1) / len(ds1),
-                "mean_ds2": sum(ds2) / len(ds2),
-                "violation_fraction_s1": sum(1 for d in ds1 if d < -1e-9) / len(ds1),
-                "violation_fraction_s2": sum(1 for d in ds2 if d < -1e-9) / len(ds2),
-            }
-        )
-    return rows
-
-
-def _scenario_second_law(cfg: ScenarioConfig):
-    sweep = cfg.epsilon_sweep if cfg.epsilon_sweep else (cfg.epsilon,)
-    data = _sweep_rows(cfg, sweep)
+    sweep = [_sweep_row(cfg, i, eps) for i, eps in enumerate(cfg.epsilon_sweep or (cfg.epsilon,))]
     # the shipped counterexample: a perfect relabeling that lowers S1
     ks, theta = ke.relabeling_counterexample()
     counter = ke.apply_selection_process(ks, theta)
     results = {
-        "sweep": [
-            {
-                "epsilon": fmt(r["epsilon"]),
-                "trials": r["trials"],
-                "mean_ds1": fmt(r["mean_ds1"]),
-                "mean_ds2": fmt(r["mean_ds2"]),
-                "violation_fraction_s1": fmt(r["violation_fraction_s1"]),
-                "violation_fraction_s2": fmt(r["violation_fraction_s2"]),
-            }
-            for r in data
-        ],
+        "sweep": sweep,
         "relabeling_counterexample": {
             "ds1": fmt(counter.ds1),
             "ds2": fmt(counter.ds2),
             "note": "entropy growth under selection is conditional, not automatic",
         },
     }
-    rows = [
-        (
-            "epsilon",
-            "trials",
-            "mean_ds1",
-            "mean_ds2",
-            "violation_fraction_s1",
-            "violation_fraction_s2",
-        )
-    ]
-    for r in data:
-        rows.append(
-            (
-                fmt(r["epsilon"]),
-                r["trials"],
-                fmt(r["mean_ds1"]),
-                fmt(r["mean_ds2"]),
-                fmt(r["violation_fraction_s1"]),
-                fmt(r["violation_fraction_s2"]),
-            )
-        )
-    return results, tuple(rows)
+    return results, _table(tuple(sweep[0]), sweep)  # the CSV columns are the row keys
 
 
 def _scenario_property_suite(cfg: ScenarioConfig, trials_override: int | None):
@@ -374,40 +313,37 @@ def _scenario_property_suite(cfg: ScenarioConfig, trials_override: int | None):
         "all_passed": all(r.passed for r in results_list),
         "reduced_confidence": reduced,
     }
-    rows = [("property_id", "trials", "violations", "worst_residual", "status")]
-    for r in results_list:
-        rows.append(
-            (r.property_id, r.trials, r.violations, fmt(r.worst), "pass" if r.passed else "fail")
-        )
-    exit_code = 0 if results["all_passed"] else 1
-    return results, tuple(rows), exit_code
+    header = ("property_id", "trials", "violations", "worst_residual", "status")
+    keys = ("id", "trials", "violations", "worst_residual", "status")
+    return results, _table(header, results["properties"], keys)
+
+
+# name -> scenario, in the order of --help, usage messages and the report schema
+SCENARIOS = {
+    "copy-demo": _scenario_copy_demo,
+    "decoherence-demo": _scenario_decoherence_demo,
+    "payoff-demo": _scenario_payoff_demo,
+    "no-cloning": _scenario_no_cloning,
+    "second-law": _scenario_second_law,
+    "property-suite": _scenario_property_suite,
+}
 
 
 def run_scenario(cfg: ScenarioConfig, trials_override: int | None = None) -> RunReport:
-    """Dispatch a scenario and assemble its deterministic report."""
+    """Run a scenario and assemble its deterministic report.
+
+    The exit code is 1 when the results report a failed check
+    (`all_passed` false), else 0.
+    """
     start = time.perf_counter()
-    exit_code = 0
-    if cfg.scenario == "copy-demo":
-        results, rows = _scenario_copy_demo(cfg)
-    elif cfg.scenario == "decoherence-demo":
-        results, rows = _scenario_decoherence_demo(cfg)
-    elif cfg.scenario == "payoff-demo":
-        results, rows = _scenario_payoff_demo(cfg)
-    elif cfg.scenario == "no-cloning":
-        results, rows = _scenario_no_cloning(cfg)
-    elif cfg.scenario == "second-law":
-        results, rows = _scenario_second_law(cfg)
-    elif cfg.scenario == "property-suite":
-        results, rows, exit_code = _scenario_property_suite(cfg, trials_override)
-    else:  # unreachable; config validates the name
-        raise UsageError(f"unknown scenario {cfg.scenario!r}")
+    results, rows = SCENARIOS[cfg.scenario](cfg, trials_override)
     wall = (time.perf_counter() - start) * 1000.0
     return RunReport(
         scenario=cfg.scenario,
-        config=cfg.echo(),
+        config=asdict(cfg),
         results=results,
         csv_rows=rows,
         tool_version=__version__,
         wall_time_ms=wall,
-        exit_code=exit_code,
+        exit_code=0 if results.get("all_passed", True) else 1,
     )

@@ -12,7 +12,7 @@ import pytest
 
 from qsim import cli, properties
 from qsim import operator_core as oc
-from qsim.scenarios import ScenarioConfig, fmt, run_scenario
+from qsim.scenarios import SCENARIOS, ScenarioConfig, fmt, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -21,6 +21,9 @@ DOCS = Path(__file__).parents[1] / "docs"
 PARENT_SHA256 = json.loads((DATA / "decoherence_frozen.json").read_text())["payload_sha256"]
 # copy-demo payload hashes of the analysis that built each copy unitary twice
 COPY_FROZEN = json.loads((DATA / "copy_frozen.json").read_text())
+# report hashes of the scenario layer before its dispatch table, exit-code rule
+# and CSV projection were merged
+REPORT_FROZEN = json.loads((DATA / "report_frozen.json").read_text())
 
 
 def payload_sha256(results: dict) -> str:
@@ -72,8 +75,10 @@ class TestExitCodes:
             (["second-law", "--epsilon-sweep", "0,inf"], "epsilon sweep must be"),
             (["payoff-demo", "--seed", "-5"], "seed must be in [0, 2**64 - 1], got -5"),
             (["payoff-demo", "--seed", str(2**64)], f"got {2**64}"),
+            (["second-law", "--dims", ""], "expected comma-separated integers, got ''"),
+            (["second-law", "--epsilon-sweep", ""], "expected comma-separated reals, got ''"),
         ],
-        ids=["epsilon-nan", "sweep-inf", "seed-negative", "seed-2**64"],
+        ids=["epsilon-nan", "sweep-inf", "seed-negative", "seed-2**64", "dims-empty", "sweep-empty"],
     )
     def test_out_of_range_config_is_usage_error(self, capsys, monkeypatch, argv, fragment):
         code, out, err = run_cli(argv, capsys, monkeypatch)
@@ -162,24 +167,68 @@ print(json.dumps(out))
 """
 
 
-@pytest.fixture(scope="module")
-def copy_payload_hashes():
-    """copy-demo payload hashes, run with the BLAS thread count they were frozen at.
+_REPORT_HASHES = """
+import dataclasses, hashlib, json, os, sys, tempfile
+from qsim import cli
+from qsim.scenarios import run_scenario
 
-    From 5x5 up the SVD and products are large enough that OpenBLAS splits
-    them across threads, and the payload bits change with the thread count,
-    so the cases run in one fresh interpreter with the count pinned.
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+out = []
+with tempfile.TemporaryDirectory() as tmp:
+    for case in json.load(sys.stdin):
+        argv = list(case["argv"])
+        if "config_file" in case:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(case["config_file"], fh)
+            argv += ["--config", path]
+        cfg, trials_override = cli.resolve_config(cli.build_parser().parse_args(argv))
+        report = run_scenario(cfg, trials_override)
+        out.append({
+            "exit_code": report.exit_code,
+            "results_payload": sha256(report.results_payload()),
+            "to_csv": sha256(report.to_csv()),
+            "to_json": sha256(dataclasses.replace(report, wall_time_ms=0.0).to_json()),
+        })
+print(json.dumps(out))
+"""
+
+
+def run_pinned(script: str, *args: str, stdin: str | None = None):
+    """Run a script in a fresh interpreter with the BLAS thread count pinned.
+
+    From 5x5 up the copy analysis's SVD and products are large enough that
+    OpenBLAS splits them across threads, and the payload bits change with the
+    thread count, so frozen copy-demo hashes are computed with one thread.
     """
     threads = str(COPY_FROZEN["blas_threads"])
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    keys = sorted(COPY_FROZEN["payload_sha256"])
+    env.pop("QSIM_SEED", None)
     done = subprocess.run(
-        [sys.executable, "-c", _COPY_HASHES, *keys],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script, *args],
+        input=stdin, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def copy_payload_hashes():
+    """copy-demo payload hashes, run with the BLAS thread count they were frozen at."""
+    return run_pinned(_COPY_HASHES, *sorted(COPY_FROZEN["payload_sha256"]))
+
+
+@pytest.fixture(scope="module")
+def report_hashes():
+    """Hashes of every frozen CLI case's report, in the order of the frozen file."""
+    cases = [
+        {k: v for k, v in case.items() if k in ("argv", "config_file")}
+        for case in REPORT_FROZEN["cases"]
+    ]
+    return run_pinned(_REPORT_HASHES, stdin=json.dumps(cases))
 
 
 class TestDeterminism:
@@ -226,6 +275,19 @@ class TestDeterminism:
     @pytest.mark.parametrize("key", sorted(COPY_FROZEN["payload_sha256"]))
     def test_copy_payload_matches_frozen(self, copy_payload_hashes, key):
         assert copy_payload_hashes[key] == COPY_FROZEN["payload_sha256"][key]
+
+    @pytest.mark.parametrize(
+        "index",
+        range(len(REPORT_FROZEN["cases"])),
+        ids=[
+            " ".join(case["argv"] + (["--config"] if "config_file" in case else []))
+            for case in REPORT_FROZEN["cases"]
+        ],
+    )
+    def test_report_matches_frozen(self, report_hashes, index):
+        # payload, CSV, JSON report and exit code, byte for byte
+        case = REPORT_FROZEN["cases"][index]
+        assert report_hashes[index] == {key: case[key] for key in report_hashes[index]}
 
     @pytest.mark.parametrize(
         "cfg",
@@ -291,10 +353,14 @@ class TestSchemas:
     def test_reports_validate(self):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads((DOCS / "run_report.schema.json").read_text())
-        for scenario in ("no-cloning", "payoff-demo", "decoherence-demo"):
+        for scenario in SCENARIOS:
             cfg = ScenarioConfig(scenario, trials=20)
-            doc = json.loads(run_scenario(cfg).to_json())
+            doc = json.loads(run_scenario(cfg, trials_override=cfg.trials).to_json())
             jsonschema.validate(doc, schema)
+
+    def test_scenario_enum_is_the_table(self):
+        schema = json.loads((DOCS / "run_report.schema.json").read_text())
+        assert schema["properties"]["scenario"]["enum"] == list(SCENARIOS)
 
     def test_trial_cap_in_schema(self):
         schema = json.loads((DOCS / "run_report.schema.json").read_text())

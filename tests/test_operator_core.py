@@ -211,37 +211,6 @@ class TestEvolveState:
             oc.evolve_state(rho, u)
 
 
-class TestRangeProjector:
-    def test_full_range(self):
-        p, empty = oc.range_projector(np.diag([0.0, 1.0, 2.0, 3.0]), 0.0, 4.0)
-        assert not empty
-        np.testing.assert_allclose(p, np.eye(4), atol=1e-12)
-
-    def test_diagonal_selection(self):
-        p, empty = oc.range_projector(np.diag([0.0, 1.0, 2.0, 3.0]), 1.0, 3.0)
-        assert not empty
-        np.testing.assert_allclose(p, np.diag([0.0, 1.0, 1.0, 0.0]), atol=1e-12)
-
-    def test_empty_range_flagged(self):
-        p, empty = oc.range_projector(np.diag([0.0, 1.0]), 5.0, 6.0)
-        assert empty
-        np.testing.assert_allclose(p, 0.0)
-
-    def test_spectral_containment(self):
-        rng = substream(11, 6)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        m = (m + m.conj().T) / 2
-        lo, hi = -0.5, 1.5
-        p, empty = oc.range_projector(m, lo, hi)
-        if empty:
-            return
-        assert oc.max_abs(p @ p - p) <= 1e-9
-        compressed = p @ m @ p
-        evals = np.linalg.eigvalsh(compressed)
-        inside = evals[np.abs(evals) > 1e-9]
-        assert np.all(inside >= lo - 1e-9) and np.all(inside < hi + 1e-9)
-
-
 class TestRandomGeneration:
     def test_random_unitary_is_unitary(self):
         u = oc.random_unitary(4, substream(7, 0))
@@ -334,6 +303,23 @@ class TestValidation:
         with pytest.raises(ValidationError, match=rf"^trial 2: rho .*{message}"):
             oc.check_density_stack(stack, "rho")
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.diag([0.5, 0.6]), "density matrix trace (1.1+0j) != 1"),
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "density matrix is not Hermitian"),
+            (np.diag([1.5, -0.5]), "density matrix has eigenvalue -0.5 < 0"),
+        ],
+        ids=["trace", "hermitian", "psd"],
+    )
+    def test_density_matrix_message_is_the_stacks(self, bad, message):
+        with pytest.raises(ValidationError) as single:
+            oc.DensityMatrix.from_matrix(bad)
+        with pytest.raises(ValidationError) as stacked:
+            oc.check_density_stack(np.array([np.eye(2) / 2, bad], dtype=complex))
+        assert str(single.value) == message
+        assert str(stacked.value) == f"trial 1: {message}"
+
     def test_density_stack_eigenvalues_match_single_states(self):
         stack = np.array([oc.random_density(3, 2, substream(7, t)).mat for t in range(5)])
         evals = oc.check_density_stack(stack)
@@ -365,19 +351,6 @@ class TestValidation:
             build(m)
         with pytest.raises(ValidationError, match=rf"^{name} must be a square matrix"):
             build(np.eye(2, 3))
-
-    def test_dyadic_algebra(self):
-        basis = oc.random_unitary(3, substream(7, 1)).mat
-        db = oc.build_dyadic_basis(basis)
-        # X_ab X_cd = delta_bc X_ad
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    for d in range(3):
-                        prod = db.element(a, b) @ db.element(c, d)
-                        expect = db.element(a, d) if b == c else np.zeros((3, 3))
-                        np.testing.assert_allclose(prod, expect, atol=1e-12)
-        db.projectors()  # X_aa form a valid projector set
 
 
 # ---------------------------------------------------------------------------
