@@ -23,6 +23,7 @@ from .operator_core import (
     dagger,
     is_hermitian,
     max_abs,
+    support_projector,
     tensor_product,
     weighted_sum,
 )
@@ -125,12 +126,8 @@ def relative_state_update(
         raise ImpossibleOutcomeError(
             f"outcome {outcome_label!r} has zero branch weight"
         )
-    # rebuild a projector onto the support of the conditioned state
-    evals, evecs = np.linalg.eigh(block / weight)
-    support = evecs[:, evals > 1e-10]
-    proj = support @ dagger(support)
     label = v.label + ((id_of(ci), outcome_label),)
-    return RelativeState(proj, label), weight
+    return RelativeState(support_projector(block / weight), label), weight
 
 
 def id_of(ci: CopyInteraction) -> str:

@@ -21,13 +21,16 @@ from .operator_core import (
     as_matrix,
     computational_projectors,
     dagger,
+    eigenspaces,
     evolve_state,
     kron_stack,
     max_abs,
     partial_trace_matrix,
-    tensor_product,
     weighted_sum,
 )
+
+# phase spread below which two phase rows count as equal up to a constant
+COPY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -183,11 +186,15 @@ class InvarianceResult:
     residual: float
 
 
+def s1_drift(u: UnitaryOperator, ops: np.ndarray) -> np.ndarray:
+    """U-dagger (A x I) U - A x I for each S1 operator A of a stack (..., d1, d1)."""
+    lifted = kron_stack(ops, np.eye(u.layout.factor_dims[1], dtype=complex))
+    return dagger(u.mat) @ lifted @ u.mat - lifted
+
+
 def check_invariance(obs: ObservableSpec, ci: CopyInteraction) -> InvarianceResult:
     """Does the interaction leave A x I unchanged?"""
-    a_full = tensor_product(obs.matrix(), np.eye(ci.proj2.dim, dtype=complex))
-    u = ci.unitary.mat
-    residual = max_abs(dagger(u) @ a_full @ u - a_full)
+    residual = max_abs(s1_drift(ci.unitary, obs.matrix()))
     return InvarianceResult(residual <= 1e-9, residual)
 
 
@@ -233,8 +240,8 @@ class CopyReport:
     """Which projector labels the interaction writes into the other subsystem."""
 
     dyadic_table: tuple[DyadicEntry, ...]
-    copied_into_2: tuple  # proj1 labels copied into S2 descriptors
-    copied_into_1: tuple  # proj2 labels copied into S1 descriptors
+    copied_into_2: tuple  # proj1 sector labels copied into S2 descriptors
+    copied_into_1: tuple  # proj2 sector labels copied into S1 descriptors
     max_residual: float  # corrected transformation vs brute-force conjugation
 
     def to_json(self) -> dict:
@@ -256,29 +263,45 @@ class CopyReport:
         }
 
 
-def _copies_labels(phases: np.ndarray, dependence_tol: float = 1e-9) -> bool:
-    """Does U = sum_ab exp(i phases[a, b]) P_1a x P_2b copy the row labels a?
+def copied_sectors(phases: np.ndarray, ps: ProjectorSet) -> list[tuple[object, np.ndarray]]:
+    """The sectors of the row labels of U = sum_ab exp(i phases[a, b]) P_a x Q_b.
 
-    The dyadic X_2cd of the column subsystem evolves into
-    sum_a exp(i (phases[a, d] - phases[a, c])) P_1a x X_2cd, so it carries
-    the row labels exactly when that phase difference varies with a for
-    some pair (c, d).  Pass phases.T for the reverse direction.
+    The dyadic X_cd of the column subsystem evolves into
+    sum_a exp(i (phases[a, d] - phases[a, c])) P_a x X_cd, so two labels
+    whose phase rows differ only by a constant are never told apart: they
+    form one sector.  Returns (label, summed projector) per sector, in
+    order of first label; a merged sector's label is the tuple of its
+    labels.  Pass phases.T and the column family for the reverse direction.
     """
-    n = phases.shape[1]
-    return any(
-        _phase_spread(phases[:, d] - phases[:, c]) > dependence_tol
-        for c in range(n)
-        for d in range(n)
-    )
+    groups: list[list[int]] = []
+    for a, row in enumerate(phases):
+        for g in groups:
+            if _phase_spread(phases[g[0]] - row) <= COPY_TOL:
+                g.append(a)
+                break
+        else:
+            groups.append([a])
+    out = []
+    for g in groups:
+        label = ps.labels[g[0]] if len(g) == 1 else tuple(ps.labels[a] for a in g)
+        out.append((label, sum(ps.projectors[a] for a in g)))
+    return out
 
 
-def analyze_copy(ci: CopyInteraction, dependence_tol: float = 1e-9) -> CopyReport:
+def _copied_labels(phases: np.ndarray, ps: ProjectorSet) -> tuple:
+    """Sector labels of the copied row labels, or () when there is one sector."""
+    sectors = copied_sectors(phases, ps)
+    return tuple(label for label, _ in sectors) if len(sectors) > 1 else ()
+
+
+def analyze_copy(ci: CopyInteraction) -> CopyReport:
     """Evolve every S2 dyadic and record its dependence on the S1 projectors.
 
     The evolved dyadic is sum_a exp(i (phi_ad - phi_ac)) P_1a x X_2cd; the
     dyadic carries copied information exactly when those phases differ
     across a.  Each predicted form is checked against brute-force
-    conjugation of I x X_2cd.
+    conjugation of I x X_2cd.  Each direction reports its copied sectors
+    (see copied_sectors).
     """
     u = ci.unitary.mat
     i1 = np.eye(ci.proj1.dim, dtype=complex)
@@ -295,11 +318,14 @@ def analyze_copy(ci: CopyInteraction, dependence_tol: float = 1e-9) -> CopyRepor
         brute = dagger(u) @ kron_stack(i1, x_c) @ u
         max_residual = max(max_residual, max_abs(predicted - brute))
         for d, row in enumerate(phases):
-            copied = _phase_spread(row) > dependence_tol
+            copied = _phase_spread(row) > COPY_TOL
             table.append(DyadicEntry(c, d, tuple(float(p) % (2 * np.pi) for p in row), copied))
-    copied_into_2 = ci.proj1.labels if _copies_labels(ci.phases, dependence_tol) else ()
-    copied_into_1 = ci.proj2.labels if _copies_labels(ci.phases.T, dependence_tol) else ()
-    return CopyReport(tuple(table), copied_into_2, copied_into_1, max_residual)
+    return CopyReport(
+        tuple(table),
+        _copied_labels(ci.phases, ci.proj1),
+        _copied_labels(ci.phases.T, ci.proj2),
+        max_residual,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +352,12 @@ def _fixed_s1_operator_space(u: UnitaryOperator) -> list[np.ndarray]:
     if u.layout.n_factors != 2:
         raise UsageError("copiable-family analysis needs a two-factor layout")
     d1, d2 = u.layout.factor_dims
-    um = u.mat
     units = np.eye(d1 * d1, dtype=complex).reshape(d1, d1, d1, d1)  # units[i, j] = E_ij
-    i2 = np.eye(d2, dtype=complex)
-    # column i d1 + j of m is U-dagger (E_ij x I) U - E_ij x I, flattened;
-    # one stacked conjugation per i keeps the temporaries at d1 matrices
+    # column i d1 + j of m is s1_drift of E_ij, flattened; one stacked
+    # conjugation per i keeps the temporaries at d1 matrices
     mt = np.empty((d1, d1, (d1 * d2) ** 2), dtype=complex)
     for i in range(d1):
-        lifted = kron_stack(units[i], i2)
-        mt[i] = (dagger(um) @ lifted @ um - lifted).reshape(d1, -1)
+        mt[i] = s1_drift(u, units[i]).reshape(d1, -1)
     m = mt.reshape(d1 * d1, -1).T
     # m has d1^2 d2^2 >= d1^2 rows, so the thin SVD already holds every
     # right singular vector; U itself is never read
@@ -388,19 +411,12 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
         g = weighted_sum(coeffs, center)
         g = (g + dagger(g)) / 2
         evals, evecs = np.linalg.eigh(g)
-        projs = []
-        start = 0
-        for k in range(1, d1 + 1):
-            if k == d1 or evals[k] - evals[k - 1] > 1e-7:
-                vecs = evecs[:, start:k]
-                projs.append(vecs @ dagger(vecs))
-                start = k
+        projs = [evecs[:, s] @ dagger(evecs[:, s]) for s in eigenspaces(evals, 1e-7)]
         try:
             family = ProjectorSet(tuple(sorted(projs, key=_atom_order_key)))
         except ValidationError:
             continue
-        lifted = kron_stack(np.array(family.projectors), np.eye(u.layout.factor_dims[1], dtype=complex))
-        ok = max_abs(dagger(u.mat) @ lifted @ u.mat - lifted) <= 1e-9
+        ok = max_abs(s1_drift(u, np.array(family.projectors))) <= 1e-9
         if ok and (best is None or len(family) > len(best)):
             best = family
             if len(best) == d1:
@@ -464,33 +480,6 @@ class BranchDecomposition:
     evolved: DensityMatrix
 
 
-def _merge_equivalent_labels(ci: CopyInteraction) -> list[tuple[tuple, np.ndarray]]:
-    """Group S1 labels whose phase rows differ only by a constant.
-
-    Such branches are never distinguished by the interaction, so they form
-    a single sector; with all phases equal there is a single sector and no
-    branching at all.
-    """
-    n1 = len(ci.proj1)
-    groups: list[list[int]] = []
-    for a in range(n1):
-        placed = False
-        for g in groups:
-            ref = ci.phases[g[0], :] - ci.phases[a, :]
-            if _phase_spread(ref) <= 1e-9 or max_abs(np.exp(1j * ref) - np.exp(1j * ref[0])) <= 1e-9:
-                g.append(a)
-                placed = True
-                break
-        if not placed:
-            groups.append([a])
-    out = []
-    for g in groups:
-        proj = sum(ci.proj1.projectors[a] for a in g)
-        label = tuple(ci.proj1.labels[a] for a in g)
-        out.append((label if len(label) > 1 else label[0], proj))
-    return out
-
-
 def branch_decomposition(
     rho_initial: DensityMatrix, ci: CopyInteraction
 ) -> BranchDecomposition:
@@ -498,7 +487,7 @@ def branch_decomposition(
     rho_out = evolve_state(
         DensityMatrix(ci.layout, rho_initial.mat), ci.unitary
     )
-    sectors = _merge_equivalent_labels(ci)
+    sectors = copied_sectors(ci.phases, ci.proj1)
     d2 = ci.proj2.dim
     i2 = np.eye(d2, dtype=complex)
     lifted = [(label, np.kron(p, i2)) for label, p in sectors]
@@ -520,7 +509,7 @@ def branch_decomposition(
             cross1 = max(cross1, max_abs(reduced))
     # interference visible on S2 alone, blocks taken in the copied basis of S2
     cross2 = 0.0
-    if _copies_labels(ci.phases):
+    if len(sectors) > 1:
         basis2, groups2 = _block_basis(ci.proj2)
         rho2 = partial_trace_matrix(rho_out.mat, dims, keep=(1,))
         rho2_blocks = dagger(basis2) @ rho2 @ basis2

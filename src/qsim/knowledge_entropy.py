@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import UsageError, ValidationError
 from .operator_core import (
@@ -26,6 +25,7 @@ from .operator_core import (
     check_projector_stack,
     check_unitary_stack,
     dagger,
+    eigenspaces,
     first_trial,
     ginibre,
     gram_densities,
@@ -33,6 +33,7 @@ from .operator_core import (
     hermitian_eigendecomposition,
     max_abs,
     partial_trace,
+    partial_trace_matrix,
     random_block_sizes,
     trial_blocks,
     trial_name,
@@ -337,28 +338,22 @@ def _decoherence_block(seed: int, block: range) -> np.ndarray:
     return s_after - s_before
 
 
-def _canonical_eigenbasis(
-    m: np.ndarray, cluster_tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _canonical_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Eigenbasis with degenerate subspaces fixed by a reference observable.
 
     Inside each degenerate eigenspace the basis is rotated to diagonalize
     diag(0, 1, ..., d-1); returns (eigenvalues, basis columns, degenerate?).
     """
     evals, evecs = hermitian_eigendecomposition(m)
-    d = m.shape[0]
-    ref = np.diag(np.arange(d, dtype=float))
+    ref = np.diag(np.arange(m.shape[0], dtype=float))
     degenerate = False
-    start = 0
     vecs = np.array(evecs, dtype=complex)
-    for k in range(1, d + 1):
-        if k == d or evals[k] - evals[k - 1] > cluster_tol:
-            if k - start > 1:
-                degenerate = True
-                w = vecs[:, start:k]
-                _, rot = np.linalg.eigh(dagger(w) @ ref @ w)
-                vecs[:, start:k] = w @ rot
-            start = k
+    for s in eigenspaces(evals, 1e-9):
+        if s.stop - s.start > 1:
+            degenerate = True
+            w = vecs[:, s]
+            _, rot = np.linalg.eigh(dagger(w) @ ref @ w)
+            vecs[:, s] = w @ rot
     return evals, vecs, degenerate
 
 
@@ -485,13 +480,10 @@ def select_stack(
     rho_t2 = _weighted_dyads(p, _theta_kets(lam, b1, b2))
     check_density_stack(rho_t1, "rho(t1)", trials)
     evals_t2 = check_density_stack(rho_t2, "rho(t2)", trials)
-    t1 = rho_t1.reshape(n, d1, d2, d1, d2)
-    t2 = rho_t2.reshape(n, d1, d2, d1, d2)
-    marginals = (
-        np.einsum("nabcb->nac", t1),
-        np.einsum("nabad->nbd", t1),
-        np.einsum("nabcb->nac", t2),
-        np.einsum("nabad->nbd", t2),
+    marginals = tuple(
+        partial_trace_matrix(rho, (d1, d2), keep)
+        for rho in (rho_t1, rho_t2)
+        for keep in ((0,), (1,))
     )
     names = ("rho1(t1)", "rho2(t1)", "rho1(t2)", "rho2(t2)")
     entropies = np.array(
@@ -591,6 +583,8 @@ def perturbed_lams(dims: tuple[int, int], epsilon: float, rngs) -> np.ndarray:
     g = np.array([rng.standard_normal((d, d)) for rng in rngs])
     g = g - g.transpose(0, 2, 1)
     g = g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+    import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
+
     r = scipy.linalg.expm(epsilon * g)
     # column (a*d2 + b) of r_n is theta_ab in the computational product basis
     return r.transpose(0, 2, 1).reshape(-1, d1, d2, d1, d2)

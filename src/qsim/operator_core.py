@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, UsageError, ValidationError
 
@@ -416,27 +415,28 @@ def weighted_sum(weights, mats: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_TOTAL_DIM) -> np.ndarray:
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; entry ((i1 i2),(j1 j2)) = a[i1,j1] * b[i2,j2]."""
     a = as_matrix(a, "tensor factor a")
     b = as_matrix(b, "tensor factor b")
-    if a.shape[0] * b.shape[0] > max_dim:
+    if a.shape[0] * b.shape[0] > MAX_TOTAL_DIM:
         raise CapacityError(
-            f"tensor product dim {a.shape[0] * b.shape[0]} exceeds maximum {max_dim}"
+            f"tensor product dim {a.shape[0] * b.shape[0]} exceeds maximum {MAX_TOTAL_DIM}"
         )
     return kron_stack(a, b)
 
 
 def partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a raw matrix onto the kept factors (sorted indices), unvalidated."""
+    """Partial trace onto the kept factors (sorted indices) of a raw matrix or a
+    stack (..., d, d), unvalidated."""
     n = len(dims)
-    t = mat.reshape(dims + dims)
+    t = mat.reshape(mat.shape[:-2] + dims + dims)
     row = [chr(ord("a") + i) for i in range(n)]
     col = [chr(ord("a") + n + i) if i in keep else row[i] for i in range(n)]
     out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
+    reduced = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, t)
     d = int(np.prod([dims[i] for i in keep]))
-    return reduced.reshape(d, d)
+    return reduced.reshape(mat.shape[:-2] + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -454,6 +454,20 @@ def hermitian_eigendecomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise ValidationError("eigendecomposition input is not Hermitian")
     evals, evecs = np.linalg.eigh(m)
     return evals, evecs
+
+
+def eigenspaces(evals: np.ndarray, gap: float) -> list[slice]:
+    """Index ranges of the clusters of ascending eigenvalues; a cluster ends
+    where the next eigenvalue lies more than gap above."""
+    cuts = [0, *(np.flatnonzero(np.diff(evals) > gap) + 1).tolist(), len(evals)]
+    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def support_projector(m: np.ndarray) -> np.ndarray:
+    """Projector onto the eigenvectors of a Hermitian matrix with eigenvalue above 1e-10."""
+    evals, evecs = np.linalg.eigh(m)
+    vecs = evecs[:, evals > 1e-10]
+    return vecs @ dagger(vecs)
 
 
 def _cluster_phases(phases: np.ndarray, tol: float = TAU_PHASE) -> list[np.ndarray]:
@@ -476,6 +490,8 @@ def _cluster_phases(phases: np.ndarray, tol: float = TAU_PHASE) -> list[np.ndarr
 
 def spectral_decompose_unitary(u: UnitaryOperator) -> SpectralDecomposition:
     """U = sum_a exp(i phi_a) P_a with distinct clustered eigenphases."""
+    import scipy.linalg  # here, so that runs without a spectral decomposition never load scipy
+
     # complex Schur of a normal matrix gives orthonormal eigenvectors
     t, q = scipy.linalg.schur(np.asarray(u.mat), output="complex")
     eigs = np.diag(t)

@@ -165,13 +165,7 @@ def _p_coarse(rng):
     fam = fams.families[0]
     merged = (fam.projectors[0] + fam.projectors[1],) + fam.projectors[2:]
     coarse = oc.ProjectorSet(merged)
-    i2 = np.eye(ci.proj2.dim, dtype=complex)
-    u = ci.unitary.mat
-    worst = 0.0
-    for p in coarse.projectors:
-        lifted = np.kron(p, i2)
-        worst = max(worst, oc.max_abs(oc.dagger(u) @ lifted @ u - lifted))
-    return worst, 1e-9
+    return oc.max_abs(hf.s1_drift(ci.unitary, np.array(coarse.projectors))), 1e-9
 
 
 @_register("flow.invariant_observable_projectors", 50)
@@ -181,19 +175,8 @@ def _p_spectral_invariant(rng):
     alphas = np.arange(1.0, len(ci.proj1) + 1.0)
     a = hf.ObservableSpec(tuple(alphas), ci.proj1).matrix()
     evals, evecs = oc.hermitian_eigendecomposition(a)
-    u = ci.unitary.mat
-    i2 = np.eye(ci.proj2.dim, dtype=complex)
-    worst = 0.0
-    start = 0
-    d1 = a.shape[0]
-    for k in range(1, d1 + 1):
-        if k == d1 or evals[k] - evals[k - 1] > 1e-7:
-            vecs = evecs[:, start:k]
-            p = vecs @ oc.dagger(vecs)
-            lifted = np.kron(p, i2)
-            worst = max(worst, oc.max_abs(oc.dagger(u) @ lifted @ u - lifted))
-            start = k
-    return worst, 1e-9
+    projs = np.array([evecs[:, s] @ oc.dagger(evecs[:, s]) for s in oc.eigenspaces(evals, 1e-7)])
+    return oc.max_abs(hf.s1_drift(ci.unitary, projs)), 1e-9
 
 
 @_register("flow.branch_weights_consistent", 50)
@@ -206,7 +189,7 @@ def _p_branches(rng):
     total = sum(b.weight for b in bd.branches)
     rho_out = bd.evolved
     worst = abs(total - 1.0)
-    sectors = hf._merge_equivalent_labels(ci)
+    sectors = hf.copied_sectors(ci.phases, ci.proj1)
     i2 = np.eye(ci.proj2.dim, dtype=complex)
     by_label = {b.label: b.weight for b in bd.branches}
     for label, p in sectors:
@@ -242,7 +225,7 @@ def _p_update(rng):
     worst = 0.0
     u = ci.unitary.mat
     evolved_state = dp.RelativeState(
-        _support_projector(u @ v.as_density() @ oc.dagger(u))
+        oc.support_projector(u @ v.as_density() @ oc.dagger(u))
     )
     i2 = np.eye(ci.proj2.dim, dtype=complex)
     for k, label in enumerate(ci.proj1.labels):
@@ -254,12 +237,6 @@ def _p_update(rng):
             w = 0.0
         worst = max(worst, abs(w - expected))
     return worst, 1e-10
-
-
-def _support_projector(rho: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(rho)
-    vecs = evecs[:, evals > 1e-10]
-    return vecs @ oc.dagger(vecs)
 
 
 @_register("payoff.frequency_deviation_shrinks", 5)

@@ -62,8 +62,8 @@ class ScenarioConfig:
         if not 0 <= seed <= MAX_SEED:
             raise UsageError(f"seed must be in [0, 2**64 - 1], got {seed}")
         dims = tuple(int(d) for d in self.dims)
-        if any(d < 2 for d in dims):
-            raise UsageError(f"dims must each be >= 2, got {dims}")
+        if not dims or any(d < 2 for d in dims):
+            raise UsageError(f"dims must be nonempty, each >= 2, got {list(dims)}")
         if int(np.prod(dims)) > oc.MAX_TOTAL_DIM:
             raise CapacityError(
                 f"total dim {int(np.prod(dims))} exceeds maximum {oc.MAX_TOTAL_DIM}"

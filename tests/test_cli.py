@@ -77,8 +77,15 @@ class TestExitCodes:
             (["payoff-demo", "--seed", str(2**64)], f"got {2**64}"),
             (["second-law", "--dims", ""], "expected comma-separated integers, got ''"),
             (["second-law", "--epsilon-sweep", ""], "expected comma-separated reals, got ''"),
+            (
+                ["no-cloning", "--config", str(DATA / "empty_dims_config.json")],
+                "dims must be nonempty, each >= 2, got []",
+            ),
         ],
-        ids=["epsilon-nan", "sweep-inf", "seed-negative", "seed-2**64", "dims-empty", "sweep-empty"],
+        ids=[
+            "epsilon-nan", "sweep-inf", "seed-negative", "seed-2**64", "dims-empty", "sweep-empty",
+            "config-dims-empty",
+        ],
     )
     def test_out_of_range_config_is_usage_error(self, capsys, monkeypatch, argv, fragment):
         code, out, err = run_cli(argv, capsys, monkeypatch)
@@ -523,3 +530,25 @@ class TestPropertyChecks:
         _, runner = properties.REGISTRY["payoff.update_weight_consistent"]
         with pytest.raises(RuntimeError):
             runner(1, 1)
+
+
+SCIPY_FREE = """
+import sys
+from qsim import cli
+
+for argv in (["payoff-demo"], ["no-cloning"], ["decoherence-demo"], ["second-law", "--epsilon", "0"]):
+    assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
+print("scipy" in sys.modules)
+"""
+
+
+def test_scenarios_without_schur_or_expm_never_import_scipy(tmp_path):
+    # scipy.linalg is imported inside spectral_decompose_unitary and perturbed_lams only
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("QSIM_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"

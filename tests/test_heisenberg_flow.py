@@ -418,3 +418,74 @@ class TestBranchDecomposition:
         rho = oc.DensityMatrix(ci.layout, rho.mat)
         bd = hf.branch_decomposition(rho, ci)
         assert abs(sum(b.weight for b in bd.branches) - 1.0) <= 1e-10
+
+
+# S1 labels 0 and 1 share a phase row, so the interaction never tells them apart
+DEGENERATE_PHASES = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, np.pi]])
+
+
+class TestCopiedSectors:
+    def test_degenerate_rows_give_one_answer(self):
+        p1, p2 = oc.computational_projectors(3), oc.computational_projectors(2)
+        ci = hf.build_copy_unitary(DEGENERATE_PHASES, p1, p2)
+        report = hf.analyze_copy(ci)
+        assert report.copied_into_2 == ((0, 1), 2)
+        assert report.copied_into_1 == (0, 1)
+        assert report.to_json()["copied_families"]["into_subsystem_2"] == [(0, 1), 2]
+        s1 = np.ones(3, dtype=complex) / np.sqrt(3)
+        rho0 = oc.DensityMatrix.pure(np.kron(s1, PLUS), ci.layout)
+        bd = hf.branch_decomposition(rho0, ci)
+        assert [b.label for b in bd.branches] == [(0, 1), 2]
+        np.testing.assert_allclose([b.weight for b in bd.branches], [2 / 3, 1 / 3], atol=1e-12)
+        (fam,) = hf.copiable_projector_families(ci.unitary).families
+        assert fam.ranks() == (2, 1)
+        np.testing.assert_allclose(fam.projectors[0], np.diag([1.0, 1.0, 0.0]), atol=1e-9)
+
+    def test_local_phase_copies_nothing_but_keeps_two_atoms(self):
+        p = oc.computational_projectors(2)
+        ci = hf.build_copy_unitary(np.array([[0.0, 0.0], [0.5, 0.5]]), p, p)
+        report = hf.analyze_copy(ci)
+        assert report.copied_into_2 == () and report.copied_into_1 == ()
+        assert [label for label, _ in hf.copied_sectors(ci.phases, p)] == [(0, 1)]
+        bd = hf.branch_decomposition(oc.DensityMatrix.pure(np.kron(PLUS, ZERO), ci.layout), ci)
+        assert [b.label for b in bd.branches] == [(0, 1)]
+        assert bd.cross_branch_norm_s2 == 0.0
+        fams = hf.copiable_projector_families(ci.unitary)
+        assert not fams.degenerate_identity
+        assert fams.families[0].ranks() == (1, 1)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_atoms_follow_identical_rows_and_sectors_follow_constant_shifts(self, k):
+        # rows of one group share a phase row, some of them moved by a constant:
+        # a shifted row is its own atom (U_a differs by a phase) but not its own sector
+        rng = substream(33, k)
+        d1, d2 = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+        p1 = oc.computational_projectors(d1)
+        p2 = oc.random_projector_set(d2, [1] * d2, rng)
+        group = rng.integers(0, int(rng.integers(1, d1)), size=d1)
+        shift = np.where(rng.random(d1) < 0.4, rng.uniform(0.5, 1.5, size=d1), 0.0)
+        base = rng.uniform(0, 2 * np.pi, size=(d1, d2))
+        ci = hf.build_copy_unitary(base[group] + shift[:, None], p1, p2)
+        rows = [tuple(r) for r in ci.phases]
+        atoms = [[a for a in range(d1) if rows[a] == r] for r in dict.fromkeys(rows)]
+        (fam,) = hf.copiable_projector_families(ci.unitary).families
+        assert fam.ranks() == tuple(len(g) for g in atoms)
+        for p, g in zip(fam.projectors, atoms):
+            np.testing.assert_allclose(np.diag(p).real, np.isin(np.arange(d1), g), atol=1e-9)
+        sectors = [[a for a in range(d1) if group[a] == g] for g in dict.fromkeys(group.tolist())]
+        want = [tuple(g) if len(g) > 1 else g[0] for g in sectors]
+        assert [label for label, _ in hf.copied_sectors(ci.phases, p1)] == want
+        assert hf.analyze_copy(ci).copied_into_2 == (tuple(want) if len(want) > 1 else ())
+
+
+class TestS1Drift:
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (4, 3)])
+    def test_stack_matches_per_operator_kron(self, d1, d2):
+        ci = random_copy_interaction(substream(34, 10 * d1 + d2), d1, d2)
+        u = ci.unitary.mat
+        ops = np.array(ci.proj1.projectors)
+        drift = hf.s1_drift(ci.unitary, ops)
+        for a, p in enumerate(ops):
+            lifted = np.kron(p, np.eye(d2, dtype=complex))
+            assert np.array_equal(drift[a], u.conj().T @ lifted @ u - lifted)
+        assert oc.max_abs(drift) <= 1e-9

@@ -109,6 +109,47 @@ class TestPartialTrace:
             oc.partial_trace(rho, ())
 
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 2), (8, 8)])
+    def test_stack_matches_explicit_einsums(self, dims):
+        d1, d2 = dims
+        mats = oc.ginibre((5, d1 * d2, d1 * d2), substream(11, 3))
+        t = mats.reshape(5, d1, d2, d1, d2)
+        for keep, spec in (((0,), "nabcb->nac"), ((1,), "nabad->nbd")):
+            stacked = oc.partial_trace_matrix(mats, dims, keep)
+            assert np.array_equal(stacked, np.einsum(spec, t))
+            for m, got in zip(mats, stacked):
+                assert np.array_equal(got, oc.partial_trace_matrix(m, dims, keep))
+
+
+class TestEigenspaces:
+    def test_single_eigenvalue(self):
+        assert oc.eigenspaces(np.array([0.3]), 1e-7) == [slice(0, 1)]
+
+    def test_all_equal(self):
+        assert oc.eigenspaces(np.full(4, 0.25), 1e-7) == [slice(0, 4)]
+
+    def test_gap_at_the_bound_joins(self):
+        evals = np.array([0.0, 0.5, 1.0, 1.75])
+        assert oc.eigenspaces(evals, 0.5) == [slice(0, 3), slice(3, 4)]
+        assert oc.eigenspaces(evals, np.nextafter(0.5, 0.0)) == [slice(k, k + 1) for k in range(4)]
+
+    def test_clusters_split_at_gaps(self):
+        evals = np.array([-1.0, -1.0 + 1e-9, 2.0, 2.0 + 5e-8, 3.0])
+        assert oc.eigenspaces(evals, 1e-7) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
+class TestSupportProjector:
+    def test_drops_eigenvalues_at_the_threshold(self):
+        p = oc.support_projector(np.diag([0.6, 0.4 - 1e-10, 1e-10, 0.0]).astype(complex))
+        np.testing.assert_allclose(p, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_rotated_rank_two_state(self):
+        u = oc.random_unitary(3, substream(11, 4)).mat
+        rho = u @ np.diag([0.0, 0.3, 0.7]) @ u.conj().T
+        want = u[:, 1:] @ u[:, 1:].conj().T
+        np.testing.assert_allclose(oc.support_projector(rho), want, atol=1e-12)
+
+
 class TestHermitianEigendecomposition:
     def test_diagonal(self):
         evals, evecs = oc.hermitian_eigendecomposition(np.diag([1.0, 3.0]))
