@@ -219,12 +219,13 @@ def _block_basis(ps: ProjectorSet) -> tuple[np.ndarray, list[list[int]]]:
     return np.column_stack(cols), groups
 
 
-def _phase_spread(phases: np.ndarray) -> float:
-    """Max deviation of unit phasors from their common direction."""
-    mean = np.mean(np.exp(1j * phases))
-    if abs(mean) < 1e-15:
-        return 2.0
-    return float(np.max(np.abs(np.exp(1j * phases) - mean / abs(mean))))
+def _phase_spread(phases: np.ndarray) -> np.ndarray:
+    """Max deviation of unit phasors from their common direction (2 if none), along the last axis."""
+    z = np.exp(1j * phases)
+    mean = np.mean(z, axis=-1, keepdims=True)
+    norm = np.abs(mean)
+    spread = np.max(np.abs(z - mean / np.where(norm < 1e-15, 1.0, norm)), axis=-1)
+    return np.where(norm[..., 0] < 1e-15, 2.0, spread)
 
 
 @dataclass(frozen=True)
@@ -273,10 +274,12 @@ def copied_sectors(phases: np.ndarray, ps: ProjectorSet) -> list[tuple[object, n
     order of first label; a merged sector's label is the tuple of its
     labels.  Pass phases.T and the column family for the reverse direction.
     """
+    # same[a, b]: rows a and b differ only by a constant
+    same = _phase_spread(phases[:, None, :] - phases[None, :, :]) <= COPY_TOL
     groups: list[list[int]] = []
-    for a, row in enumerate(phases):
+    for a in range(len(phases)):
         for g in groups:
-            if _phase_spread(phases[g[0]] - row) <= COPY_TOL:
+            if same[g[0], a]:
                 g.append(a)
                 break
         else:
@@ -299,29 +302,33 @@ def analyze_copy(ci: CopyInteraction) -> CopyReport:
 
     The evolved dyadic is sum_a exp(i (phi_ad - phi_ac)) P_1a x X_2cd; the
     dyadic carries copied information exactly when those phases differ
-    across a.  Each predicted form is checked against brute-force
-    conjugation of I x X_2cd.  Each direction reports its copied sectors
+    across a.  Each predicted form is checked against an independent
+    conjugation of I x X_2cd, computed as A_c A_d-dagger with
+    A_c = U-dagger (I x v_c).  Each direction reports its copied sectors
     (see copied_sectors).
     """
-    u = ci.unitary.mat
-    i1 = np.eye(ci.proj1.dim, dtype=complex)
     basis2, groups2 = _block_basis(ci.proj2)
-    # one representative vector, and so one dyadic X_2cd, per block
+    # one representative vector, and so one dyadic X_2cd = v_c v_d-dagger, per block
     reps = basis2[:, [g[0] for g in groups2]].T
-    table = []
+    # phases[c, d, a] = phi_ad - phi_ac, the phase row of dyadic (c, d)
+    phases = ci.phases.T[None, :, :] - ci.phases.T[:, None, :]
+    copied = _phase_spread(phases) > COPY_TOL
+    wrapped = np.mod(phases, 2 * np.pi).tolist()
+    table = tuple(
+        DyadicEntry(c, d, tuple(wrapped[c][d]), bool(copied[c, d]))
+        for c, d in np.ndindex(copied.shape)
+    )
+    # a[c][:, j] = U-dagger (e_j x v_c): columns (j, b) of U-dagger contracted with v_c
+    u_dag = dagger(ci.unitary.mat).reshape(-1, ci.proj1.dim, ci.proj2.dim)
+    a = np.moveaxis(u_dag @ reps.T, -1, 0)
+    a_dag = dagger(a)
     max_residual = 0.0
     for c, vc in enumerate(reps):
-        # the dyadics X_2cd of every d, and their phase rows (d, a)
         x_c = vc[:, None] * reps.conj()[:, None, :]
-        phases = ci.phases.T - ci.phases[:, c]
-        predicted = kron_stack(weighted_sum(np.exp(1j * phases), ci.proj1.projectors), x_c)
-        brute = dagger(u) @ kron_stack(i1, x_c) @ u
-        max_residual = max(max_residual, max_abs(predicted - brute))
-        for d, row in enumerate(phases):
-            copied = _phase_spread(row) > COPY_TOL
-            table.append(DyadicEntry(c, d, tuple(float(p) % (2 * np.pi) for p in row), copied))
+        predicted = kron_stack(weighted_sum(np.exp(1j * phases[c]), ci.proj1.projectors), x_c)
+        max_residual = max(max_residual, max_abs(predicted - a[c] @ a_dag))
     return CopyReport(
-        tuple(table),
+        table,
         _copied_labels(ci.phases, ci.proj1),
         _copied_labels(ci.phases.T, ci.proj2),
         max_residual,
@@ -347,36 +354,46 @@ def _atom_order_key(p: np.ndarray) -> tuple:
     return tuple(-np.concatenate([np.diag(r).real, r.real.ravel(), r.imag.ravel()]))
 
 
-def _fixed_s1_operator_space(u: UnitaryOperator) -> list[np.ndarray]:
-    """Hermitian basis of {A : U-dagger (A x I) U = A x I}."""
+def _null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of a tall matrix m, and the rows spanning its null space.
+
+    The triangular factor R of m = QR has m's singular values and right
+    singular vectors, so only R, as large as m is wide, goes to the SVD.
+    """
+    _, s, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))
+    return s, vh[s < 1e-10]
+
+
+def _s1_commutators(u: UnitaryOperator) -> np.ndarray:
+    """(D^2, d1^2) matrix whose column (i, j) is the flattened [E_ij x I, U].
+
+    That is U s1_drift(E_ij), so it has the drift matrix's singular values
+    and null space.  With u4[a, b, c, e] = U[(a, b), (c, e)] its entries are
+    delta_ai u4[j, b, c, e] - delta_cj u4[a, b, i, e]: indexing, no products.
+    """
+    d1, d2 = u.layout.factor_dims
+    u4 = u.mat.reshape(d1, d2, d1, d2)
+    m = np.zeros((d1, d1, d1, d2, d1, d2), dtype=complex)
+    idx = np.arange(d1)
+    m[idx, :, idx] = u4
+    m[:, idx, :, :, idx] -= u4.transpose(2, 0, 1, 3)
+    return m.reshape(d1 * d1, -1).T
+
+
+def _fixed_s1_operator_space(u: UnitaryOperator) -> np.ndarray:
+    """Orthonormal Hermitian basis (k, d1, d1) of {A : U-dagger (A x I) U = A x I}."""
     if u.layout.n_factors != 2:
         raise UsageError("copiable-family analysis needs a two-factor layout")
-    d1, d2 = u.layout.factor_dims
-    units = np.eye(d1 * d1, dtype=complex).reshape(d1, d1, d1, d1)  # units[i, j] = E_ij
-    # column i d1 + j of m is s1_drift of E_ij, flattened; one stacked
-    # conjugation per i keeps the temporaries at d1 matrices
-    mt = np.empty((d1, d1, (d1 * d2) ** 2), dtype=complex)
-    for i in range(d1):
-        mt[i] = s1_drift(u, units[i]).reshape(d1, -1)
-    m = mt.reshape(d1 * d1, -1).T
-    # m has d1^2 d2^2 >= d1^2 rows, so the thin SVD already holds every
-    # right singular vector; U itself is never read
-    _, s, vh = np.linalg.svd(m, full_matrices=False)
-    basis = [vh[k].conj().reshape(d1, d1) for k in np.flatnonzero(s < 1e-10)]
-    # the fixed space is *-closed; split into Hermitian generators
-    herm = []
-    for a in basis:
-        herm.append((a + dagger(a)) / 2)
-        herm.append((a - dagger(a)) / 2j)
-    # orthonormalize over the real vector space of Hermitian matrices
-    out: list[np.ndarray] = []
-    for h in herm:
-        for g in out:
-            h = h - np.trace(dagger(g) @ h).real * g
-        nrm = np.sqrt(np.trace(dagger(h) @ h).real)
-        if nrm > 1e-8:
-            out.append(h / nrm)
-    return out
+    d1 = u.layout.factor_dims[0]
+    _, null = _null_space(_s1_commutators(u))
+    basis = null.conj().reshape(-1, d1, d1)
+    # the fixed space is *-closed, so the Hermitian parts of its basis span a
+    # real space of the same dimension k; as real vectors (real parts, then
+    # imaginary parts), its top k right singular vectors are orthonormal
+    herm = np.concatenate([basis + dagger(basis), (basis - dagger(basis)) / 1j]) / 2
+    flat = herm.reshape(len(herm), -1)
+    vh = np.linalg.svd(np.hstack([flat.real, flat.imag]), full_matrices=False)[2][: len(basis)]
+    return (vh[:, : d1 * d1] + 1j * vh[:, d1 * d1 :]).reshape(-1, d1, d1)
 
 
 def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
@@ -384,7 +401,9 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
 
     The invariant S1 operators form a *-algebra; the atoms of its center
     are the finest invariant projector family, and every coarse-graining of
-    an invariant family is again invariant.
+    an invariant family is again invariant.  The atoms are the eigenspaces
+    of one generic center element; an AnalysisError is raised when they are
+    not an invariant projector family.
 
     The atoms come in a canonical order, independent of the null-space basis
     LAPACK returns: descending by their diagonal, ties broken descending by
@@ -397,34 +416,27 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
         return CopiableFamilies((), only_trivial=False, degenerate_identity=True)
     # center of the fixed algebra: fixed elements commuting with all of it;
     # column k of m stacks the commutators [H_k, G] over every G
-    f = np.array(fixed)
-    m = (f[:, None] @ f[None, :] - f[None, :] @ f[:, None]).reshape(len(fixed), -1).T
-    # solve for real coefficient vectors x with sum_k x_k [H_k, G] = 0 for all G
-    mr = np.vstack([m.real, m.imag])
-    _, s, vh = np.linalg.svd(mr, full_matrices=False)
-    nullity = int(np.count_nonzero(s < 1e-10))
-    center = weighted_sum(vh[len(fixed) - 1 - np.arange(nullity)], fixed)
-    best: ProjectorSet | None = None
-    for attempt in range(4):
-        # deterministic generic element of the center
-        coeffs = np.cos(np.arange(1, len(center) + 1) * (1.7 + attempt))
-        g = weighted_sum(coeffs, center)
-        g = (g + dagger(g)) / 2
-        evals, evecs = np.linalg.eigh(g)
-        projs = [evecs[:, s] @ dagger(evecs[:, s]) for s in eigenspaces(evals, 1e-7)]
-        try:
-            family = ProjectorSet(tuple(sorted(projs, key=_atom_order_key)))
-        except ValidationError:
-            continue
-        ok = max_abs(s1_drift(u, np.array(family.projectors))) <= 1e-9
-        if ok and (best is None or len(family) > len(best)):
-            best = family
-            if len(best) == d1:
-                break  # rank-1 atoms: no later attempt can be finer
-    if best is None:
-        best = ProjectorSet((np.eye(d1, dtype=complex),))
+    comm = fixed[:, None] @ fixed[None, :] - fixed[None, :] @ fixed[:, None]
+    m = comm.reshape(len(fixed), -1).T
+    # real coefficient vectors x with sum_k x_k [H_k, G] = 0 for all G
+    _, null = _null_space(np.vstack([m.real, m.imag]))
+    if not len(null):
+        raise AnalysisError("center solve found no central element, not even the identity")
+    # deterministic generic element of the center, basis from the smallest s up
+    center = weighted_sum(null[::-1], fixed)
+    g = weighted_sum(np.cos(np.arange(1, len(center) + 1) * 1.7), center)
+    g = (g + dagger(g)) / 2
+    evals, evecs = np.linalg.eigh(g)
+    projs = [evecs[:, s] @ dagger(evecs[:, s]) for s in eigenspaces(evals, 1e-7)]
+    try:
+        family = ProjectorSet(tuple(sorted(projs, key=_atom_order_key)))
+    except ValidationError as exc:
+        raise AnalysisError(f"center atoms are not a projector family: {exc}") from exc
+    drift = max_abs(s1_drift(u, np.array(family.projectors)))
+    if drift > 1e-9:
+        raise AnalysisError(f"center atoms drift by {drift:.3g} under the interaction")
     return CopiableFamilies(
-        (best,), only_trivial=len(best) == 1, degenerate_identity=False
+        (family,), only_trivial=len(family) == 1, degenerate_identity=False
     )
 
 

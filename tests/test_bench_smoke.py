@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark harness: one tiny untraced decoherence run.
+"""Smoke tests of the benchmark harness: tiny untraced decoherence and copy runs.
 
-It checks only that the harness runs end to end and that every report
-passes its workload's checks; it sets no timing bounds.
+They check only that the harness runs end to end and that every report
+passes its workload's checks (for copy, the harness's own projector and
+residual checks); they set no timing bounds.
 """
 
 import sys
@@ -15,5 +16,11 @@ import run  # noqa: E402
 
 def test_tiny_decoherence_run_is_correct():
     result = run.measure("decoherence", seed=3, seconds=0, trace=False, tiny=True)
+    assert result["correct"]
+    assert result["failed"] == 0
+
+
+def test_tiny_copy_run_is_correct():
+    result = run.measure("copy", seed=3, seconds=0, trace=False, tiny=True)
     assert result["correct"]
     assert result["failed"] == 0

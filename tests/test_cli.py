@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,17 @@ import numpy as np
 import pytest
 
 from qsim import cli, properties
+from qsim import heisenberg_flow as hf
 from qsim import operator_core as oc
 from qsim.scenarios import SCENARIOS, ScenarioConfig, fmt, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
 DOCS = Path(__file__).parents[1] / "docs"
-# payload hashes of the per-trial decoherence code that the stacked kernel replaced
+# payload hashes of the per-trial decoherence code that the stacked kernel replaced;
+# the property-suite entries are from the tool_version 0.2.0 copy analysis
 PARENT_SHA256 = json.loads((DATA / "decoherence_frozen.json").read_text())["payload_sha256"]
-# copy-demo payload hashes of the analysis that built each copy unitary twice
+# copy-demo payload hashes of the tool_version 0.2.0 copy analysis
 COPY_FROZEN = json.loads((DATA / "copy_frozen.json").read_text())
 # report hashes of the scenario layer before its dispatch table, exit-code rule
 # and CSV projection were merged
@@ -127,6 +130,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "qsim: numerical error: trial 0: rho(t2) contains non-finite entries\n"
 
+    def test_copy_analysis_failure_is_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(hf, "s1_drift", lambda u, ops: np.ones_like(ops))
+        code, out, err = run_cli(["copy-demo", "--dims", "3,3"], capsys, monkeypatch)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("qsim: numerical error: center atoms drift by ")
+        assert err.count("\n") == 1
+
     def test_largest_seed_runs(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["payoff-demo", "--seed", str(2**64 - 1), "--trials", "5"], capsys, monkeypatch
@@ -158,6 +169,51 @@ class TestExitCodes:
         doc = json.loads(out)
         bad = [p for p in doc["results"]["properties"] if p["status"] == "fail"]
         assert bad and bad[0]["repro"] == {"seed": 1, "trial_index": 0}
+
+
+# malformed flag values that the flag parser passes on, so qsim must refuse them itself
+MALFORMED_FLAGS = [
+    *(("--dims", v) for v in ["2,x", "2,,2", "1,2", "0", "2.5,2", " ", ",", "2,2,", "9,9", "2,2,2,2,2,2,2"]),
+    *(("--trials", v) for v in ["0", "-3", str(10**20)]),
+    *(("--epsilon", v) for v in ["nan", "inf", "-0.1", "1e400"]),
+    *(("--epsilon-sweep", v) for v in ["0.2,0.1", "a,b", "nan", "0,,1", "inf"]),
+    *(("--seed", v) for v in ["-1", str(2**64)]),
+]
+# malformed config files: JSON text that is not an object, and ill-typed or out-of-range values
+MALFORMED_CONFIGS = [
+    "not json", "{", "null", "", "[]", "3", '"x"', '{"seed": NaN}', '{"epsilon": Infinity}',
+    *(json.dumps(doc) for doc in [
+        {"dims": [2.5]}, {"dims": "2,2"}, {"dims": [1, 2]}, {"dims": [[2]]}, {"dims": [9, 9]},
+        {"dims": []}, {"dims": None}, {"seed": -1}, {"seed": 1.0}, {"seed": 2**64}, {"seed": None},
+        {"trials": 0}, {"trials": -1}, {"trials": 10**30}, {"trials": 1e3}, {"format": "xml"},
+        {"epsilon": "0.1"}, {"epsilon": -1}, {"epsilon": None}, {"epsilon_sweep": []},
+        {"epsilon_sweep": [0.3, 0.1]}, {"epsilon_sweep": 0.1}, {"output_path": 5},
+        {"uniform_weights": 1}, {"scenario": "copy-demo"},
+    ]),
+]
+# each malformed input is paired with a scenario drawn from a fixed seed
+_PICK = random.Random(12)
+FLAG_CASES = [(_PICK.choice(sorted(SCENARIOS)), flag, value) for flag, value in MALFORMED_FLAGS]
+CONFIG_CASES = [(_PICK.choice(sorted(SCENARIOS)), text) for text in MALFORMED_CONFIGS]
+
+
+class TestMalformedInput:
+    @staticmethod
+    def assert_refused(code, out, err):
+        assert code in (2, 3)
+        assert out == ""
+        assert err.startswith(("qsim: error: ", "qsim: capacity error: "))
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario, flag, value", FLAG_CASES)
+    def test_flag_refused_with_one_line(self, capsys, monkeypatch, scenario, flag, value):
+        self.assert_refused(*run_cli([scenario, flag, value], capsys, monkeypatch))
+
+    @pytest.mark.parametrize("scenario, text", CONFIG_CASES)
+    def test_config_refused_with_one_line(self, capsys, monkeypatch, tmp_path, scenario, text):
+        (tmp_path / "cfg.json").write_text(text)
+        argv = [scenario, "--config", str(tmp_path / "cfg.json")]
+        self.assert_refused(*run_cli(argv, capsys, monkeypatch))
 
 
 _COPY_HASHES = """
