@@ -39,8 +39,13 @@ def _parse_list(text: str, cast, kind: str) -> tuple:
         raise UsageError(f"expected comma-separated {kind}, got {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a rejected flag is one usage-error line, not the usage block
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qsim",
         description="Scenario-driven quantum information-flow experiments.",
     )
@@ -141,10 +146,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg, trials_override = resolve_config(args)
+        cfg, trials_override = resolve_config(build_parser().parse_args(argv))
         report = run_scenario(cfg, trials_override)
     except CapacityError as exc:
         print(f"qsim: capacity error: {exc}", file=sys.stderr)

@@ -111,15 +111,9 @@ class CopyInteraction:
         return self.unitary.layout
 
 
-def _copy_unitary_matrix(
-    phases: np.ndarray, p1: ProjectorSet, p2: ProjectorSet
-) -> np.ndarray:
-    d = p1.dim * p2.dim
-    out = np.zeros((d, d), dtype=complex)
-    for a, pa in enumerate(p1.projectors):
-        for b, pb in enumerate(p2.projectors):
-            out += np.exp(1j * phases[a, b]) * kron_stack(pa, pb)
-    return out
+def _copy_unitary_matrix(phases: np.ndarray, p1: ProjectorSet, p2: ProjectorSet) -> np.ndarray:
+    pairs = kron_stack(np.array(p1.projectors)[:, None], np.array(p2.projectors)[None])
+    return weighted_sum(np.exp(1j * phases).ravel(), pairs.reshape((-1,) + pairs.shape[-2:]))
 
 
 def build_copy_unitary(

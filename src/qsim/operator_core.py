@@ -238,22 +238,21 @@ def check_unitary_stack(mats: np.ndarray, trials: Sequence[int] | None = None) -
         raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
 
 
-def _projector_defect(p: np.ndarray, pairwise: bool = True) -> tuple[int, str] | None:
+def _projector_defect(p: np.ndarray) -> tuple[int, str] | None:
     """First (row, message) of a finite stack (N, K, d, d) of K-projector families
     that fails ProjectorSet's checks at TAU_PROJ, or None.
 
     The checks run in ProjectorSet's order: each projector Hermitian, then
     idempotent, in k order; every pair (i, j), i < j, orthogonal; the family
-    complete.  Each check flags every row at once.  pairwise=False skips
-    idempotence and orthogonality (see ProjectorSet).
+    complete.  Each check flags every row at once.
     """
     herm = _max_abs_rows(p - dagger(p)) > TAU_PROJ
-    idem = _max_abs_rows(p @ p - p) > TAU_PROJ if pairwise else np.zeros_like(herm)
+    idem = _max_abs_rows(p @ p - p) > TAU_PROJ
     if (n := first_trial((herm | idem).any(axis=1))) is not None:
         k = first_trial(herm[n] | idem[n])
         return n, "projector is not Hermitian" if herm[n, k] else "projector is not idempotent"
     count = p.shape[1]
-    if pairwise and count > 1:
+    if count > 1:
         # row i against rows i+1.., so each pair is multiplied once
         orth = np.concatenate(
             [_max_abs_rows(p[:, i, None] @ p[:, i + 1 :]) for i in range(count - 1)], axis=1
@@ -311,52 +310,69 @@ class UnitaryOperator:
 class ProjectorSet:
     """Orthogonal, complete family of Hermitian idempotents.
 
-    Every family is checked Hermitian and complete.  A `from_blocks` family
-    (projector k is V V-dagger for the k-th column block V of Q) passing the
-    Gram check max|E| <= TAU_PROJ / (2d), E = Q-dagger Q - I, skips the
-    idempotence and pairwise orthogonality checks: each entry of P_i P_j
-    (i != j) or P_k^2 - P_k is one of some Q_i E_ij Q_j-dagger, so at most
-    (1 + ||E||) ||E|| <= TAU_PROJ, as ||E|| <= d max|E|.
+    A `from_blocks` family (P_k = V V-dagger, V the k-th column block of Q)
+    whose square Q passes the Gram check max|E| <= TAU_PROJ / (2d),
+    E = Q-dagger Q - I, needs no other check, as the 2-norm ||E|| <= d max|E|:
+    entries of P_i P_j (i != j) and P_k^2 - P_k are entries of some
+    Q_i E_ij Q_j-dagger, so at most (1 + ||E||) ||E|| <= TAU_PROJ; V V-dagger
+    is Hermitian up to rounding; and sum_k P_k - I = Q Q-dagger - I has the
+    norm of E, as Q is square, so at most TAU_PROJ / 2.  Such a family builds
+    its projectors on first read; every other family gets all four checks.
     """
 
     projectors: tuple[np.ndarray, ...]
     labels: tuple = ()
-    # (Q, block sizes) of a from_blocks family; the projectors are derived from it
+    # (Q, block sizes) of a family whose projectors are built on first read, else None
     range_basis: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.range_basis is None:
+        if (basis := self.range_basis) is None:
             mats = [as_matrix(p, "projector") for p in self.projectors]
         else:
-            q, sizes = self.range_basis
+            q, sizes = basis
             if q.ndim != 2 or not q.size or min(sizes, default=0) < 1 or sum(sizes) != q.shape[1]:
                 raise ValidationError(f"range basis {q.shape} does not split into blocks {list(sizes)}")
-            mats = block_projectors(q[None], [sizes])[0]
-            if not np.isfinite(mats).all():
-                raise ValidationError("projector contains non-finite entries")
+            if q.shape[0] == q.shape[1] and orthonormal_columns(q):  # false for non-finite q
+                basis, mats = (_freeze(q), sizes), sizes
+            else:
+                basis, mats = None, block_projectors(q[None], [sizes])[0]
+                if not np.isfinite(mats).all():
+                    raise ValidationError("projector contains non-finite entries")
         if not len(mats):
             raise ValidationError("projector set must be nonempty")
         labels = self.labels or tuple(range(len(mats)))
         if len(labels) != len(mats):
             raise ValidationError("label count must match projector count")
         object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "range_basis", basis)
+        if basis is not None:
+            object.__delattr__(self, "projectors")  # built on first read, see __getattr__
+            return
         if any(p.shape != mats[0].shape for p in mats):
             raise ValidationError("projectors have mismatched dims")
         stack = _freeze(mats)
         object.__setattr__(self, "projectors", tuple(stack))
-        # a basis that fails the Gram check gets the pairwise checks and their messages
-        pairwise = self.range_basis is None or not orthonormal_columns(self.range_basis[0])
-        if (defect := _projector_defect(stack[None], pairwise)) is not None:
+        if (defect := _projector_defect(stack[None])) is not None:
             raise ValidationError(defect[1])
+
+    def __getattr__(self, name: str):
+        # reached only for a missing attribute: a range-basis family's projectors, built once
+        if name != "projectors" or self.__dict__.get("range_basis") is None:
+            raise AttributeError(name)
+        q, sizes = self.range_basis
+        object.__setattr__(self, name, tuple(_freeze(block_projectors(q[None], [sizes])[0])))
+        return self.projectors
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return (self.range_basis[0] if self.range_basis else self.projectors[0]).shape[0]
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.labels)
 
     def ranks(self) -> tuple[int, ...]:
+        if self.range_basis:
+            return self.range_basis[1]
         return tuple(int(round(np.trace(p).real)) for p in self.projectors)
 
     @staticmethod
@@ -501,9 +517,11 @@ def spectral_decompose_unitary(u: UnitaryOperator) -> SpectralDecomposition:
     out_phases = tuple(
         float(np.angle(np.sum(np.exp(1j * phases[members])))) % TWO_PI for members in clusters
     )
-    family = ProjectorSet.from_blocks(q[:, np.concatenate(clusters)], [len(c) for c in clusters])
-    sd = SpectralDecomposition(out_phases, family)
-    if max_abs(sd.reconstruct() - u.mat) > TAU_RECON:
+    basis, sizes = q[:, np.concatenate(clusters)], [len(c) for c in clusters]
+    sd = SpectralDecomposition(out_phases, ProjectorSet.from_blocks(basis, sizes))
+    # sum_a exp(i phi_a) P_a as one product, (Q diag(exp(i phi))) Q-dagger
+    weights = np.repeat(np.exp(1j * np.array(sd.phases)), sizes)
+    if max_abs((basis * weights) @ dagger(basis) - u.mat) > TAU_RECON:
         raise ValidationError("spectral decomposition failed to reconstruct the unitary")
     return sd
 

@@ -209,6 +209,30 @@ class TestMalformedInput:
     def test_flag_refused_with_one_line(self, capsys, monkeypatch, scenario, flag, value):
         self.assert_refused(*run_cli([scenario, flag, value], capsys, monkeypatch))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["payoff-demo", "--seed", "1.5"],
+            ["payoff-demo", "--format", "xml"],
+            ["second-law", "--epsilon", "-inf"],
+            ["copy-demo", "--dims", "-2,2"],
+            ["payoff-demo", "--bogus"],
+            [],
+        ],
+    )
+    def test_flag_parser_rejection_is_one_line(self, capsys, monkeypatch, argv):
+        code, out, err = run_cli(argv, capsys, monkeypatch)
+        assert code == 2
+        self.assert_refused(code, out, err)
+        assert err.startswith("qsim: error: ")
+
+    def test_help_is_argparse_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out == cli.build_parser().format_help() and out.err == ""
+
     @pytest.mark.parametrize("scenario, text", CONFIG_CASES)
     def test_config_refused_with_one_line(self, capsys, monkeypatch, tmp_path, scenario, text):
         (tmp_path / "cfg.json").write_text(text)

@@ -128,6 +128,19 @@ class TestBuildCopyUnitary:
         ci = hf.build_copy_unitary(np.full((2, 2), 1.3), p, p)
         assert ci.phases[0, 0] == 0.0
 
+    @pytest.mark.parametrize("d1, d2, blocks", [(2, 2, None), (3, 3, None), (5, 5, None),
+                                                (8, 8, None), (3, 5, [2, 1, 2])])
+    def test_unitary_matrix_matches_per_pair_loop(self, d1, d2, blocks):
+        rng = substream(22, d1 * d2)
+        p1 = oc.random_projector_set(d1, [1] * d1, rng)
+        p2 = oc.random_projector_set(d2, blocks or [1] * d2, rng)
+        phases = rng.uniform(0, 2 * np.pi, size=(len(p1), len(p2)))
+        loop = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+        for a, pa in enumerate(p1.projectors):
+            for b, pb in enumerate(p2.projectors):
+                loop += np.exp(1j * phases[a, b]) * oc.kron_stack(pa, pb)
+        np.testing.assert_array_equal(hf._copy_unitary_matrix(phases, p1, p2), loop)
+
     def test_unitary_derived_from_parts_and_validated(self):
         cnot = hf.cnot_interaction()
         ci = hf.CopyInteraction(cnot.phases, cnot.proj1, cnot.proj2)

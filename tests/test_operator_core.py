@@ -1,5 +1,6 @@
 """Core matrix algebra, state primitives, and random generation."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -215,6 +216,23 @@ class TestSpectralDecomposition:
         u = oc.random_unitary(dim, rng)
         sd = oc.spectral_decompose_unitary(u)
         assert oc.max_abs(sd.reconstruct() - u.mat) <= 1e-9
+
+    @pytest.mark.parametrize("shift, fails", [(1e-11, False), (1e-7, True)])
+    def test_reconstruction_check(self, monkeypatch, shift, fails):
+        # every eigenphase off by `shift`, so the reconstruction is off by about as much
+        schur = scipy.linalg.schur
+
+        def shifted(m, output):
+            t, q = schur(m, output=output)
+            return t * np.exp(1j * shift), q
+
+        monkeypatch.setattr(scipy.linalg, "schur", shifted)
+        u = oc.random_unitary(4, substream(11, 7))
+        if fails:
+            with pytest.raises(ValidationError, match="failed to reconstruct"):
+                oc.spectral_decompose_unitary(u)
+        else:
+            assert oc.max_abs(oc.spectral_decompose_unitary(u).reconstruct() - u.mat) <= oc.TAU_RECON
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
@@ -558,6 +576,15 @@ def haar_or_schur_basis(source, dim, rng):
     return u if source == "haar" else scipy.linalg.schur(u, output="complex")[1]
 
 
+def weighted_sum_of_pairs(phases, p1, p2):
+    """sum_ab exp(i phases[a, b]) P1_a x P2_b, one pair at a time."""
+    return sum(
+        np.exp(1j * phases[a, b]) * np.kron(pa, pb)
+        for a, pa in enumerate(p1.projectors)
+        for b, pb in enumerate(p2.projectors)
+    )
+
+
 class TestRangeBasis:
     @pytest.mark.parametrize("source", ["haar", "schur"])
     @pytest.mark.parametrize("dim", [1, 2, 5, 8, 16, 64])
@@ -605,14 +632,56 @@ class TestRangeBasis:
         fam = oc.ProjectorSet.from_blocks(q, [1] * dim)
         assert old_projector_message(fam.projectors) is None
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     def test_range_basis_must_match_its_blocks(self):
         with pytest.raises(ValidationError, match="does not split into blocks"):
             oc.ProjectorSet.from_blocks(np.eye(3), [1, 1])
-        with pytest.raises(ValidationError, match="^projector contains non-finite entries$"):
-            oc.ProjectorSet.from_basis(np.array([[1.0, 0.0], [0.0, np.nan]]))
-        # orthonormal but too few columns: the Gram check passes, completeness does not
-        with pytest.raises(ValidationError, match="^projector set is not complete$"):
-            oc.ProjectorSet.from_blocks(np.eye(3)[:, :2], [1, 1])
+        for dim in (2, 3, 8):
+            q = np.eye(dim) if dim == 3 else haar_or_schur_basis("haar", dim, substream(18, dim))
+            for bad in (np.nan, np.inf):
+                q_bad = q.copy()
+                q_bad[0, -1] = bad
+                with pytest.raises(ValidationError, match="^projector contains non-finite entries$"):
+                    oc.ProjectorSet.from_basis(q_bad)
+            # orthonormal but too few columns: the Gram check passes, completeness does not
+            with pytest.raises(ValidationError, match="^projector set is not complete$"):
+                oc.ProjectorSet.from_blocks(q[:, 1:], [1] * (dim - 1))
+
+    def test_spectral_family_builds_projectors_only_when_read(self, monkeypatch):
+        rng = substream(16, 0)
+        p1, p2 = (oc.random_projector_set(8, [1] * 8, rng) for _ in range(2))
+        phases = rng.uniform(0, 2 * np.pi, size=(8, 8))
+        u = oc.UnitaryOperator(oc.SubsystemLayout((8, 8)), weighted_sum_of_pairs(phases, p1, p2))
+        built = []
+        block_projectors = oc.block_projectors
+        monkeypatch.setattr(oc, "block_projectors", lambda *a: built.append(1) or block_projectors(*a))
+        fam = oc.spectral_decompose_unitary(u).projectors
+        assert (len(fam), fam.dim, fam.ranks()) == (64, 64, (1,) * 64)
+        assert not built
+        q, sizes = fam.range_basis
+        expected = oc._freeze(block_projectors(q[None], [sizes])[0])
+        projs = fam.projectors
+        assert fam.projectors is projs and len(built) == 1
+        np.testing.assert_array_equal(np.array(projs), expected)
+        assert not any(p.flags.writeable for p in projs)
+        np.testing.assert_array_equal(np.array(copy.deepcopy(fam).projectors), expected)
+
+    @pytest.mark.parametrize("source", ["haar", "schur"])
+    @pytest.mark.parametrize("dim", [2, 8, 16, 64])
+    def test_unchecked_defects_stay_far_inside_tolerance(self, source, dim):
+        rng = substream(17, dim)
+        q = haar_or_schur_basis(source, dim, rng)
+        for sizes in ([1] * dim, oc.random_block_sizes(dim, rng)):
+            p = np.array(oc.ProjectorSet.from_blocks(q, sizes).projectors)
+            assert oc.max_abs(p - oc.dagger(p)) <= oc.TAU_PROJ / 100
+            assert oc.max_abs(p.sum(axis=0) - np.eye(dim)) <= oc.TAU_PROJ / 100
+
+    def test_basis_failing_the_gram_check_keeps_its_projectors(self):
+        # blocks [e0, 0] and [e1]: a valid family whose basis is not orthonormal
+        fam = oc.ProjectorSet.from_blocks(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), [2, 1])
+        assert fam.range_basis is None
+        assert fam.ranks() == (1, 1)
+        np.testing.assert_array_equal(np.array(fam.projectors), [np.diag([1, 0]), np.diag([0, 1])])
 
     def test_replace_rederives_from_the_basis(self):
         fam = oc.ProjectorSet.from_basis(HADAMARD)
