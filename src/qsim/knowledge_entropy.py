@@ -59,19 +59,19 @@ def _entropy_bits(evals: np.ndarray) -> float:
 
 
 def _spectral_entropies(evals: np.ndarray) -> np.ndarray:
-    """_entropy_bits of each row of an eigenvalue stack (N, n).
+    """_entropy_bits of each row of an ascending eigenvalue stack (N, n).
 
-    Rows that keep every eigenvalue are summed as one array, which gives
-    the bits of a row-by-row sum.  A row that drops some goes through
-    _entropy_bits: numpy's pairwise sum groups a shorter row differently,
-    so zero-padding it would change the last bits.
+    The rows that keep m eigenvalues keep their last m, so they are summed
+    as one contiguous (k, m) array, which gives the bits of a row-by-row
+    sum.  Zero-padding a shorter row instead would change the last bits, as
+    numpy's pairwise sum would group it differently.
     """
-    whole = (evals > EIGENVALUE_CLAMP).all(axis=-1)
-    x = evals[whole]
+    kept = (evals > EIGENVALUE_CLAMP).sum(axis=-1)
     out = np.empty(len(evals))
-    out[whole] = -np.sum(x * np.log2(x), axis=-1)
-    for i in np.flatnonzero(~whole):
-        out[i] = _entropy_bits(evals[i])
+    for m in np.unique(kept):
+        rows = kept == m
+        x = evals[rows, evals.shape[-1] - m :]
+        out[rows] = -np.sum(x * np.log2(x), axis=-1)
     return out
 
 
@@ -252,16 +252,16 @@ def projective_decoherence(rho: DensityMatrix, ps: ProjectorSet) -> DensityMatri
 
 
 def _pinching_entropies(
-    rho: np.ndarray, projs: np.ndarray, trials=None
+    rho: np.ndarray, pinched: np.ndarray, trials=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """S(rho) and S(sum_k P_k rho P_k) of each trial, in bits.
+    """S(rho) and S(pinched) of each trial, in bits, pinched = sum_k P_k rho P_k.
 
-    Both states are validated with DensityMatrix's checks, and the
-    eigenvalues of each check give the entropies, so each stack takes one
-    eigvalsh.  A failure names the first bad trial, numbered by `trials`.
+    Both states are validated with DensityMatrix's checks, rho first, and
+    the eigenvalues of each check give the entropies, so each stack takes
+    one eigvalsh.  A failure names the first bad trial, numbered by `trials`.
     """
     before = check_density_stack(rho, "rho", trials)
-    after = check_density_stack(_pinch(rho, projs), "decohered rho", trials)
+    after = check_density_stack(pinched, "decohered rho", trials)
     return _spectral_entropies(before), _spectral_entropies(after)
 
 
@@ -272,7 +272,8 @@ def entropy_after_decoherence_geq(
 
     The one-trial case of decoherence_margins' linear algebra.
     """
-    before, after = _pinching_entropies(rho.mat[None], _projector_stack(rho, ps))
+    mat = rho.mat[None]
+    before, after = _pinching_entropies(mat, _pinch(mat, _projector_stack(rho, ps)))
     s_before, s_after = float(before[0]), float(after[0])
     return s_before, s_after, s_after - s_before
 
@@ -297,14 +298,16 @@ def decoherence_margins(seed: int, trials: int) -> np.ndarray:
     the rank r of rho = G G-dagger / tr with G a d x r complex Gaussian, its
     block sizes, and the Ginibre matrix of the Haar unitary whose column
     blocks span the projectors P_k.  The linear algebra then runs once per
-    group: G G-dagger per (d, r); QR, projectors, pinching and both
-    entropies per (d, block count).  Every check of random_density,
-    random_projector_set and entropy_after_decoherence_geq is kept, with its
-    tolerance.  Groups are checked in (d, block count) order, and a failure
-    names the first bad trial of the first failing check.  Every operation
-    acts on each trial alone, so a margin has the bits of one trial run
-    alone.  Trials run in trial_blocks, so memory is bounded by the block
-    and not by `trials`.
+    d, over its trials in (block count, trial) order: G G-dagger per (d, r);
+    QR, then projectors and pinching per block count; then both entropies.
+    Every check of random_density, random_projector_set and
+    entropy_after_decoherence_geq is kept, with its tolerance.  Within a d
+    (in increasing order) the unitary check runs first, then the projector
+    checks per block count, then the density checks, and a failure names
+    the first bad trial of the first failing check.  Every operation acts on
+    each trial alone, so a margin has the bits of one trial run alone.
+    Trials run in trial_blocks, so memory is bounded by the block, not by
+    `trials`.
     """
     margins = np.empty(trials)
     for block in trial_blocks(trials, DECOHERENCE_DIMS[1]):
@@ -314,28 +317,29 @@ def decoherence_margins(seed: int, trials: int) -> np.ndarray:
 
 def _decoherence_block(seed: int, block: range) -> np.ndarray:
     """Margins of the trials in `block`, grouped as decoherence_margins describes."""
-    draws = [_draw_decoherence_trial(substream(seed, t)) for t in block]
-    dims = np.array([x[0] for x in draws])
-    ranks = np.array([x[1] for x in draws])
-    counts = np.array([len(x[3]) for x in draws])
-    trial_ids = np.array(block)
-    s_before = np.empty(len(block))
-    s_after = np.empty(len(block))
-    for d in np.unique(dims):
-        at = np.flatnonzero(dims == d)
-        rho = np.empty((len(at), d, d), dtype=complex)
-        for r in np.unique(ranks[at]):
-            sel = ranks[at] == r
-            rho[sel] = gram_densities(np.array([draws[i][2] for i in at[sel]]))
-        for k in np.unique(counts[at]):
-            sel = counts[at] == k
-            idx = at[sel]
-            u = haar_unitaries(np.array([draws[i][4] for i in idx]))
-            check_unitary_stack(u, trial_ids[idx])
-            projs = block_projectors(u, np.array([draws[i][3] for i in idx]))
-            check_projector_stack(projs, trial_ids[idx])
-            s_before[idx], s_after[idx] = _pinching_entropies(rho[sel], projs, trial_ids[idx])
-    return s_after - s_before
+    groups: dict[int, list] = {}
+    for t in block:
+        draw = _draw_decoherence_trial(substream(seed, t))
+        groups.setdefault(draw[0], []).append((t, *draw[1:]))
+    margins = np.empty(len(block))
+    for d in sorted(groups):
+        rows = sorted(groups.pop(d), key=lambda row: len(row[3]))  # stable: (block count, trial)
+        trials, ranks, counts = np.array([(row[0], row[1], len(row[3])) for row in rows]).T
+        rho = np.empty((len(rows), d, d), dtype=complex)
+        for r in np.unique(ranks):
+            at = np.flatnonzero(ranks == r)
+            rho[at] = gram_densities(np.array([rows[i][2] for i in at]))
+        u = haar_unitaries(np.array([row[4] for row in rows]))
+        check_unitary_stack(u, trials)
+        pinched = np.empty_like(rho)
+        for k in np.unique(counts):
+            at = slice(*np.searchsorted(counts, [k, k + 1]))
+            projs = block_projectors(u[at], np.array([row[3] for row in rows[at]]))
+            check_projector_stack(projs, trials[at])
+            pinched[at] = _pinch(rho[at], projs)
+        s_before, s_after = _pinching_entropies(rho, pinched, trials)
+        margins[trials - block.start] = s_after - s_before
+    return margins
 
 
 def _canonical_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:

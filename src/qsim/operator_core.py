@@ -105,7 +105,7 @@ def single_layout(dim: int) -> SubsystemLayout:
     return SubsystemLayout((dim,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace operator."""
 
@@ -279,7 +279,7 @@ def check_projector_stack(projs: np.ndarray, trials: Sequence[int] | None = None
         raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     layout: SubsystemLayout
     mat: np.ndarray
@@ -306,7 +306,7 @@ class UnitaryOperator:
         return UnitaryOperator(layout, mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """Orthogonal, complete family of Hermitian idempotents.
 
@@ -323,7 +323,7 @@ class ProjectorSet:
     projectors: tuple[np.ndarray, ...]
     labels: tuple = ()
     # (Q, block sizes) of a family whose projectors are built on first read, else None
-    range_basis: tuple | None = field(default=None, repr=False, compare=False)
+    range_basis: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if (basis := self.range_basis) is None:
@@ -391,7 +391,7 @@ def computational_projectors(dim: int) -> ProjectorSet:
     return ProjectorSet.from_basis(np.eye(dim, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenphases and orthogonal complete projectors of a unitary."""
 
@@ -539,7 +539,9 @@ def evolve_state(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
 
 def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian array: the real parts are drawn first, then the imaginary parts."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = rng.standard_normal((2, *out.shape))  # the bits of two draws
+    return out
 
 
 def haar_unitaries(g: np.ndarray) -> np.ndarray:

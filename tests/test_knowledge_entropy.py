@@ -1,6 +1,9 @@
 """Entropy, knowledge states, decoherence, and selection processes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +22,21 @@ FROZEN = json.loads((Path(__file__).parent / "data" / "selection_frozen.json").r
 # per-trial decoherence margins (float.hex), as computed one trial at a time
 # (random_density, random_projector_set, entropy_after_decoherence_geq) by
 # the code that preceded the stacked kernel
-DECOHERENCE_FROZEN = json.loads(
-    (Path(__file__).parent / "data" / "decoherence_frozen.json").read_text()
-)
+DECOHERENCE_FROZEN_PATH = Path(__file__).parent / "data" / "decoherence_frozen.json"
+DECOHERENCE_FROZEN = json.loads(DECOHERENCE_FROZEN_PATH.read_text())
+
+# recomputes the frozen decoherence margins in a fresh interpreter (argv: src dir, frozen file)
+_FROZEN_MARGINS = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from qsim import knowledge_entropy as ke
+frozen = json.loads(Path(sys.argv[2]).read_text())
+print(json.dumps([
+    [x.hex() for x in ke.decoherence_margins(case["seed"], frozen["trials"]).tolist()]
+    for case in frozen["cases"]
+]))
+"""
 
 
 def binary_entropy(p):
@@ -61,6 +76,22 @@ class TestVonNeumannEntropy:
             abs(ke.von_neumann_entropy(oc.evolve_state(rho, u)) - ke.von_neumann_entropy(rho))
             <= 1e-9
         )
+
+
+class TestSpectralEntropies:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 16, 17, 33, 64])
+    def test_rows_are_entropy_bits(self, n):
+        # ascending rows whose 0..n-1 leading entries are clamped to zero,
+        # EIGENVALUE_CLAMP or below it, or tiny negatives, as eigvalsh gives them
+        rng = substream(43, n)
+        tiny = [0.0, 1e-13, ke.EIGENVALUE_CLAMP, -1e-15, -3e-14]
+        for _ in range(180):
+            evals = rng.random((50, n))
+            evals /= evals.sum(axis=1, keepdims=True)
+            clamped = np.arange(n) < rng.integers(0, n, 50)[:, None]
+            evals = np.sort(np.where(clamped, rng.choice(tiny, (50, n)), evals), axis=1)
+            rows = ke._spectral_entropies(evals)
+            assert [x.hex() for x in rows.tolist()] == [ke._entropy_bits(e).hex() for e in evals]
 
 
 class TestFreeEnergy:
@@ -225,6 +256,17 @@ class TestDecoherenceKernel:
 
     def test_never_decreases(self):
         assert ke.decoherence_margins(6, 500).min() >= -1e-9
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_frozen_margins_at_blas_threads(self, threads):
+        # the per-dimension stacks must stay below the sizes OpenBLAS threads
+        src = str(Path(__file__).parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", _FROZEN_MARGINS, src, str(DECOHERENCE_FROZEN_PATH)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(done.stdout) == [case["margins"] for case in DECOHERENCE_FROZEN["cases"]]
 
     def test_a_failure_names_its_trial(self, monkeypatch):
         # break the unitaries of every dim-3 trial: groups are checked in

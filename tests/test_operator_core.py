@@ -304,6 +304,15 @@ class TestRandomGeneration:
                 left -= b
             assert rng.random() == replay.random()
 
+    @pytest.mark.parametrize("shape", [5, (3, 4), (6, 4, 4)], ids=["int", "2d", "stacked"])
+    def test_ginibre_is_two_gaussian_draws(self, shape):
+        rng, twin = substream(9, 2), substream(9, 2)
+        g = oc.ginibre(shape, rng)
+        expected = twin.standard_normal(shape) + 1j * twin.standard_normal(shape)
+        assert g.dtype == expected.dtype and g.shape == expected.shape
+        assert g.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_stacked_builders_match_single_trials(self, dim):
         # one stack of several trials gives each trial's bits alone
@@ -324,6 +333,24 @@ class TestRandomGeneration:
         dens = oc.gram_densities(g[:, :, :2])
         for i in range(len(g)):
             np.testing.assert_array_equal(dens[i], oc.gram_densities(g[i : i + 1, :, :2])[0])
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: oc.computational_projectors(2),
+            lambda: oc.DensityMatrix.from_matrix(np.eye(2) / 2),
+            lambda: oc.UnitaryOperator.from_matrix(HADAMARD),
+            lambda: oc.spectral_decompose_unitary(oc.UnitaryOperator.from_matrix(SIGMA_Z)),
+        ],
+        ids=["projectors", "density", "unitary", "spectral"],
+    )
+    def test_equality_is_identity(self, make):
+        # the array-holding value classes compare by identity: equal arrays never raise
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestSerialization:
