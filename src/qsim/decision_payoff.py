@@ -8,14 +8,12 @@ The frequency experiment models one observer-history of repeated trials.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ImpossibleOutcomeError, UsageError, ValidationError
-from .heisenberg_flow import CopyInteraction
+from .heisenberg_flow import CopyInteraction, ObservableSpec
 from .operator_core import (
     TAU_PROJ,
     ProjectorSet,
@@ -25,7 +23,6 @@ from .operator_core import (
     max_abs,
     support_projector,
     tensor_product,
-    weighted_sum,
 )
 from .rng import first_uniforms
 
@@ -63,23 +60,8 @@ class RelativeState:
         return RelativeState(np.outer(ket, ket.conj()), label)
 
 
-@dataclass(frozen=True)
-class PayoffObservable:
-    """Observable whose eigenvalues are payoffs: sum_k payoff_k P_k."""
-
-    eigenvalues: tuple[float, ...]
-    projectors: ProjectorSet
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.eigenvalues)
-        if len(vals) != len(self.projectors):
-            raise ValidationError("payoff count must match projector count")
-        if not all(np.isfinite(v) for v in vals):
-            raise ValidationError("payoffs must be finite")
-        object.__setattr__(self, "eigenvalues", vals)
-
-    def matrix(self) -> np.ndarray:
-        return weighted_sum(self.eigenvalues, self.projectors.projectors)
+# an observable whose eigenvalues are payoffs: sum_k payoff_k P_k
+PayoffObservable = ObservableSpec
 
 
 def payoff_product(v: RelativeState, a: PayoffObservable) -> np.ndarray:
@@ -151,26 +133,6 @@ class FrequencyReport:
     seed: int
     expected_payoff: float
     max_deviation: float
-
-    def csv_rows(self) -> tuple[tuple, ...]:
-        """Header plus one row per outcome, reals at 17 significant digits."""
-        rows = [("outcome_label", "weight", "count", "frequency", "abs_deviation")]
-        for r in self.rows:
-            rows.append(
-                (
-                    str(r.outcome_label),
-                    format(r.weight, ".17g"),
-                    r.count,
-                    format(r.frequency, ".17g"),
-                    format(r.abs_deviation, ".17g"),
-                )
-            )
-        return tuple(rows)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(self.csv_rows())
-        return buf.getvalue()
 
 
 def frequency_experiment(

@@ -73,11 +73,12 @@ class ObservableSpec:
     projectors: ProjectorSet
 
     def __post_init__(self):
-        if len(self.coefficients) != len(self.projectors):
+        coeffs = tuple(float(c) for c in self.coefficients)
+        if len(coeffs) != len(self.projectors):
             raise ValidationError("coefficient count must match projector count")
-        object.__setattr__(
-            self, "coefficients", tuple(float(c) for c in self.coefficients)
-        )
+        if not all(np.isfinite(coeffs)):
+            raise ValidationError("coefficients must be finite")
+        object.__setattr__(self, "coefficients", coeffs)
 
     def matrix(self) -> np.ndarray:
         return weighted_sum(self.coefficients, self.projectors.projectors)

@@ -128,9 +128,8 @@ class KnowledgeState:
 
 def _product_kets(basis1: np.ndarray, basis2: np.ndarray, na: int, nb: int) -> np.ndarray:
     """|a>|b> for a < na, b < nb, as an (na, nb, d1*d2) array."""
-    return np.array(
-        [[np.kron(basis1[:, a], basis2[:, b]) for b in range(nb)] for a in range(na)]
-    )
+    kets = basis1[:, :na].T[:, None, :, None] * basis2[:, :nb].T[None, :, None, :]
+    return kets.reshape(na, nb, -1)
 
 
 def _weighted_dyads(p: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -399,10 +398,6 @@ def knowledge_form_test(rho: DensityMatrix) -> FormTestResult:
 @dataclass(frozen=True)
 class SelectionReport:
     rho_t2: DensityMatrix
-    rho1_t1: DensityMatrix
-    rho2_t1: DensityMatrix
-    rho1_t2: DensityMatrix
-    rho2_t2: DensityMatrix
     s1_t1: float
     s2_t1: float
     s1_t2: float
@@ -518,24 +513,16 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
     b1 = _complete_basis(ks.basis1, d1)
     b2 = _complete_basis(ks.basis2, d2)
     sel = select_stack(ks.p_ab[None], theta.lam[None], b1, b2)
-    rho_t2 = DensityMatrix(ks.layout, sel.rho_t2[0])
-    rho1_t1, rho2_t1, rho1_t2, rho2_t2 = (
-        DensityMatrix(SubsystemLayout(m.shape[1:2]), m[0]) for m in sel.marginals
-    )
     # index-formula marginals, in the extended bases
     lam = theta.lam
     m1 = np.einsum("ab,abcd,abed->ce", ks.p_ab, lam, lam)
     m2 = np.einsum("ab,abcd,abcf->df", ks.p_ab, lam, lam)
     f1 = b1 @ m1 @ dagger(b1)
     f2 = b2 @ m2 @ dagger(b2)
-    formula_residual = max(max_abs(f1 - rho1_t2.mat), max_abs(f2 - rho2_t2.mat))
+    formula_residual = max(max_abs(f1 - sel.marginals[2][0]), max_abs(f2 - sel.marginals[3][0]))
     s1_t1, s2_t1, s1_t2, s2_t2 = sel.entropies[:, 0].tolist()
     return SelectionReport(
-        rho_t2=rho_t2,
-        rho1_t1=rho1_t1,
-        rho2_t1=rho2_t1,
-        rho1_t2=rho1_t2,
-        rho2_t2=rho2_t2,
+        rho_t2=DensityMatrix(ks.layout, sel.rho_t2[0]),
         s1_t1=s1_t1,
         s2_t1=s2_t1,
         s1_t2=s1_t2,
@@ -548,25 +535,13 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
 
 
 def _complete_basis(partial: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis of C^dim."""
+    """Extend orthonormal columns to a full orthonormal basis of C^dim, keeping them first.
+
+    The trailing left singular vectors of `partial` span its complement.
+    """
     if partial.shape[1] == dim:
         return partial
-    q, _ = np.linalg.qr(
-        np.column_stack([partial, np.eye(dim, dtype=complex)])
-    )
-    # keep the original columns exactly, append the new directions
-    extra = []
-    proj = partial @ dagger(partial)
-    for k in range(q.shape[1]):
-        v = q[:, k] - proj @ q[:, k]
-        for e in extra:
-            v = v - np.vdot(e, v) * e
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            extra.append(v / nrm)
-        if partial.shape[1] + len(extra) == dim:
-            break
-    return np.column_stack([partial] + extra)
+    return np.column_stack([partial, np.linalg.svd(partial)[0][:, partial.shape[1] :]])
 
 
 def perturbed_lams(dims: tuple[int, int], epsilon: float, rngs) -> np.ndarray:

@@ -98,9 +98,7 @@ def _random_copy_interaction(rng) -> hf.CopyInteraction:
 @_register("core.tensor_associative_trace", 50)
 def _p_tensor(rng):
     dims = [int(rng.integers(2, 4)) for _ in range(3)]
-    ms = [
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims
-    ]
+    ms = [oc.ginibre((d, d), rng) for d in dims]
     left = oc.tensor_product(oc.tensor_product(ms[0], ms[1]), ms[2])
     right = oc.tensor_product(ms[0], oc.tensor_product(ms[1], ms[2]))
     r1 = oc.max_abs(left - right)
@@ -259,7 +257,7 @@ def _p_chain(rng):
     d1, d2 = ci.layout.factor_dims
     v = dp.RelativeState.from_ket(oc.random_pure_ket(d1 * d2, rng))
     # observable on the factor whose labels were not conditioned on
-    a2 = rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2))
+    a2 = oc.ginibre((d2, d2), rng)
     a2 = (a2 + oc.dagger(a2)) / 2
     a_full = oc.tensor_product(np.eye(d1, dtype=complex), a2)
     u = ci.unitary.mat

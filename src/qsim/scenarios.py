@@ -217,7 +217,8 @@ def _scenario_payoff_demo(cfg: ScenarioConfig, trials_override: int | None):
         ],
         "max_deviation": fmt(freq.max_deviation),
     }
-    return results, freq.csv_rows()
+    header = ("outcome_label", "weight", "count", "frequency", "abs_deviation")
+    return results, _table(header, results["frequencies"], ("outcome",) + header[1:])
 
 
 def _scenario_no_cloning(cfg: ScenarioConfig, trials_override: int | None):

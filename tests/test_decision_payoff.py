@@ -1,13 +1,17 @@
 """Betting weights, branch updates, and the finite-frequency experiment."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from qsim import decision_payoff as dp
 from qsim import heisenberg_flow as hf
 from qsim import operator_core as oc
-from qsim.errors import ImpossibleOutcomeError
+from qsim.errors import ImpossibleOutcomeError, ValidationError
 from qsim.rng import substream
+from qsim.scenarios import ScenarioConfig, run_scenario
 
 ZERO = np.array([1, 0], dtype=complex)
 ONE = np.array([0, 1], dtype=complex)
@@ -56,6 +60,21 @@ class TestExpectedPayoff:
             v = dp.RelativeState.from_ket(oc.random_pure_ket(3, substream(31, 50 + k)))
             got = dp.expected_payoff(v, a)
             assert -2.0 - 1e-12 <= got <= 3.0 + 1e-12
+
+
+class TestObservable:
+    def test_payoff_observable_is_observable_spec(self):
+        assert dp.PayoffObservable is hf.ObservableSpec
+
+    @pytest.mark.parametrize("cls", [hf.ObservableSpec, dp.PayoffObservable])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1.0,), (1.0, 0.0, 2.0), (np.nan, 0.0), (1.0, np.inf), (-np.inf, 1.0)],
+        ids=["too-few", "too-many", "nan", "inf", "minus-inf"],
+    )
+    def test_bad_coefficients_rejected(self, cls, coeffs):
+        with pytest.raises(ValidationError):
+            cls(coeffs, oc.computational_projectors(2))
 
 
 class TestRelativeStateUpdate:
@@ -172,17 +191,21 @@ class TestFrequencyExperiment:
         assert counts[1] == 0 and counts[2] > 0.7 * 2500
 
     def test_csv_matches_payoff_demo_csv(self):
-        from qsim.scenarios import ScenarioConfig, run_scenario
-
+        # the payoff-demo CSV is the frequency experiment's rows, field for field
         cfg = ScenarioConfig("payoff-demo", seed=6, trials=300, format="csv")
         v = dp.RelativeState.from_ket(ZERO)
         rep = dp.frequency_experiment(v, plus_minus_payoff(), 300, seed=6)
-        assert run_scenario(cfg).to_csv() == rep.to_csv()
+        rows = list(csv.reader(io.StringIO(run_scenario(cfg).to_csv())))[1:]
+        parsed = [(label, float(w), int(c), float(f), float(d)) for label, w, c, f, d in rows]
+        assert parsed == [
+            (r.outcome_label, r.weight, r.count, r.frequency, r.abs_deviation) for r in rep.rows
+        ]
 
     def test_csv_round_trip(self):
         v = dp.RelativeState.from_ket(ZERO)
         rep = dp.frequency_experiment(v, plus_minus_payoff(), 100, seed=5)
-        lines = rep.to_csv().splitlines()
+        text = run_scenario(ScenarioConfig("payoff-demo", seed=5, trials=100)).to_csv()
+        lines = text.splitlines()
         assert lines[0] == "outcome_label,weight,count,frequency,abs_deviation"
         assert len(lines) == 3
         # 17-significant-digit reals survive the round trip losslessly

@@ -369,6 +369,26 @@ class TestSelectionProcess:
             ke.ThetaFamily(lam)
 
 
+class TestPartialKnowledgeBases:
+    """Knowledge bases with fewer columns than their factor's dim."""
+
+    @pytest.mark.parametrize("dim, k", [(2, 1), (3, 1), (3, 2), (4, 2)])
+    def test_completed_basis_is_unitary_and_keeps_columns(self, dim, k):
+        partial = oc.random_unitary(dim, substream(49, dim * 10 + k)).mat[:, :k]
+        full = ke._complete_basis(partial, dim)
+        assert full.shape == (dim, dim)
+        assert oc.max_abs(oc.dagger(full) @ full - np.eye(dim)) <= 1e-12
+        assert full[:, :k].tobytes() == partial.tobytes()
+
+    def test_selection_from_one_row_of_weights(self):
+        # one S1 knowledge vector: the theta family must reach the completed direction
+        ks = ke.build_knowledge_state([[0.25, 0.75]], (2, 2))
+        theta = ke.ThetaFamily(ke.perturb_selection((2, 2), 0.5, substream(49, 0)).lam[:1])
+        rep = ke.apply_selection_process(ks, theta)
+        assert abs(rep.s_global - binary_entropy(0.25)) <= 1e-12
+        assert rep.formula_residual <= 1e-10
+
+
 class TestPerturbSelection:
     def test_epsilon_zero_is_ideal(self):
         theta = ke.perturb_selection((2, 2), 0.0, substream(41, 9))
@@ -450,12 +470,14 @@ class TestStackedSelection:
             ks = ke.build_knowledge_state(p / p.sum(), (3, 3))
             theta = ke.perturb_selection((3, 3), 0.4, rng)
         rep = ke.apply_selection_process(ks, theta)
+        # the four marginals come from the stack the report is built on
+        sel = ke.select_stack(ks.p_ab[None], theta.lam[None], *eye_bases(ks.layout.factor_dims))
+        marginals = dict(zip(("rho1_t1", "rho2_t1", "rho1_t2", "rho2_t2"), sel.marginals))
         for field, want in FROZEN["reports"][name].items():
-            got = getattr(rep, field)
             if isinstance(want, str):
-                assert float(got).hex() == want, field
+                assert float(getattr(rep, field)).hex() == want, field
             else:
-                mat = got.mat.ravel()
+                mat = (marginals[field][0] if field in marginals else rep.rho_t2.mat).ravel()
                 assert [float(x).hex() for x in mat.real] == want[0], field
                 assert [float(x).hex() for x in mat.imag] == want[1], field
 
