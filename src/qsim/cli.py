@@ -43,6 +43,41 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a rejected flag is one usage-error line, not the usage block
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """Parse argv, reading `--flag -value` as `--flag=-value`.
+
+        argparse takes a spaced value such as `-inf` or `-2,2` for an unknown
+        option and reports only a missing argument; joined, the value reaches
+        the check that names it.  A registered option string or anything
+        starting with `--` is never taken as a value, so `--output --format`
+        still fails.
+        """
+        args = list(sys.argv[1:] if args is None else args)
+        options = self._option_string_actions
+        joined = []
+        while args:
+            arg = args.pop(0)
+            value = args[0] if args else ""
+            action = self._flag_action(arg)
+            if (
+                action is not None
+                and action.nargs is None
+                and value.startswith("-")
+                and not value.startswith("--")
+                and value not in options
+            ):
+                arg = f"{arg}={args.pop(0)}"
+            joined.append(arg)
+        return super().parse_args(joined, namespace)
+
+    def _flag_action(self, arg: str) -> argparse.Action | None:
+        """The action `arg` names in full, or as the unique prefix of a long option."""
+        options = self._option_string_actions
+        if arg in options:
+            return options[arg]
+        hits = {options[o] for o in options if arg.startswith("--") and o.startswith(arg)}
+        return hits.pop() if len(hits) == 1 else None
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(

@@ -522,7 +522,7 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
     formula_residual = max(max_abs(f1 - sel.marginals[2][0]), max_abs(f2 - sel.marginals[3][0]))
     s1_t1, s2_t1, s1_t2, s2_t2 = sel.entropies[:, 0].tolist()
     return SelectionReport(
-        rho_t2=DensityMatrix(ks.layout, sel.rho_t2[0]),
+        rho_t2=DensityMatrix.from_checked(ks.layout, sel.rho_t2[0]),  # select_stack checked it
         s1_t1=s1_t1,
         s2_t1=s2_t1,
         s1_t2=s1_t2,

@@ -127,6 +127,14 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.layout.total_dim
 
+    @classmethod
+    def from_checked(cls, layout: SubsystemLayout, mat: np.ndarray) -> "DensityMatrix":
+        """Wrap a (d, d) matrix of a stack that check_density_stack has passed, unchecked."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "layout", layout)
+        object.__setattr__(rho, "mat", _freeze(mat))
+        return rho
+
     @staticmethod
     def from_matrix(mat: np.ndarray, layout: SubsystemLayout | None = None) -> "DensityMatrix":
         mat = as_matrix(mat, "density matrix")

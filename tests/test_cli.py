@@ -210,21 +210,38 @@ class TestMalformedInput:
         self.assert_refused(*run_cli([scenario, flag, value], capsys, monkeypatch))
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, named",
         [
-            ["payoff-demo", "--seed", "1.5"],
-            ["payoff-demo", "--format", "xml"],
-            ["second-law", "--epsilon", "-inf"],
-            ["copy-demo", "--dims", "-2,2"],
-            ["payoff-demo", "--bogus"],
-            [],
+            (["payoff-demo", "--seed", "1.5"], "'1.5'"),
+            (["payoff-demo", "--format", "xml"], "'xml'"),
+            (["second-law", "--epsilon", "-inf"], "-inf"),
+            (["copy-demo", "--dims", "-2,2"], "[-2, 2]"),
+            (["payoff-demo", "--bogus"], "--bogus"),
+            ([], "scenario"),
+            (["second-law", "--epsilon-sweep", "-1,0"], "[-1.0, 0.0]"),
         ],
+        ids=[f"argv{i}" for i in range(7)],
     )
-    def test_flag_parser_rejection_is_one_line(self, capsys, monkeypatch, argv):
+    def test_flag_parser_rejection_is_one_line(self, capsys, monkeypatch, argv, named):
         code, out, err = run_cli(argv, capsys, monkeypatch)
         assert code == 2
         self.assert_refused(code, out, err)
-        assert err.startswith("qsim: error: ")
+        assert err.startswith("qsim: error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epsilon", "-inf"), ("--dims", "-2,2"), ("--epsilon-sweep", "-1,0"), ("--epsilon-s", "-1")],
+    )
+    def test_spaced_negative_value_reads_like_joined(self, capsys, monkeypatch, flag, value):
+        spaced = run_cli(["copy-demo", flag, value], capsys, monkeypatch)
+        joined = run_cli(["copy-demo", f"{flag}={value}"], capsys, monkeypatch)
+        assert spaced == joined and spaced[0] == 2
+
+    @pytest.mark.parametrize("value", ["--format", "--bogus", "-h"])
+    def test_option_string_is_never_a_value(self, capsys, monkeypatch, value):
+        code, out, err = run_cli(["payoff-demo", "--output", value], capsys, monkeypatch)
+        self.assert_refused(code, out, err)
+        assert err == "qsim: error: argument --output: expected one argument\n"
 
     def test_help_is_argparse_help(self, capsys):
         with pytest.raises(SystemExit) as exc:

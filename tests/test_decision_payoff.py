@@ -149,14 +149,15 @@ class TestFrequencyExperiment:
         assert np.mean(big) < np.mean(small)
 
     @staticmethod
-    def reference_counts(weights, n, seed):
+    def reference_outcomes(weights, n, seed):
         """The per-trial loop: one substream and one searchsorted per trial."""
         cum = np.cumsum(weights)
-        counts = [0] * len(weights)
-        for i in range(n):
-            k = int(np.searchsorted(cum, substream(seed, i).random(), side="right"))
-            counts[min(k, len(weights) - 1)] += 1
-        return counts
+        draws = [substream(seed, i).random() for i in range(n)]
+        return [min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1) for u in draws]
+
+    @classmethod
+    def reference_counts(cls, weights, n, seed):
+        return np.bincount(cls.reference_outcomes(weights, n, seed), minlength=len(weights)).tolist()
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_counts_match_per_trial_loop(self, dim):
@@ -175,9 +176,26 @@ class TestFrequencyExperiment:
         a = plus_minus_payoff()
         weights = dp.outcome_weights(v, a.projectors)
         block = dp.FREQUENCY_BLOCK
+        outcomes = self.reference_outcomes(weights, 2 * block + 1, 9)
         for n in (1, block - 1, block, block + 1, 2 * block + 1):
             rep = dp.frequency_experiment(v, a, n, seed=9)
-            assert [r.count for r in rep.rows] == self.reference_counts(weights, n, 9)
+            assert [r.count for r in rep.rows] == np.bincount(outcomes[:n], minlength=2).tolist()
+
+    def test_report_does_not_depend_on_block_size(self, monkeypatch):
+        # 2101 trials: a ragged last block at 7, two blocks at 2048, one at the default
+        v = dp.RelativeState.from_ket(oc.random_pure_ket(3, substream(47, 9)))
+        a = dp.PayoffObservable((0.0, 1.0, 2.0), oc.computational_projectors(3))
+        want = dp.frequency_experiment(v, a, 2101, seed=12)
+        for block in (1, 7, 2048, 8192):
+            monkeypatch.setattr(dp, "FREQUENCY_BLOCK", block)
+            assert dp.frequency_experiment(v, a, 2101, seed=12) == want
+
+    def test_payoff_demo_opens_no_substream(self, monkeypatch):
+        # every substream is a Philox bit generator; the batched draw builds none
+        built = []
+        monkeypatch.setattr(np.random, "Philox", lambda *args, **kw: built.append(args))
+        report = run_scenario(ScenarioConfig("payoff-demo", seed=3, trials=3000))
+        assert report.exit_code == 0 and built == []
 
     def test_draws_past_last_cumulative_weight_go_to_last_outcome(self, monkeypatch):
         # cum[-1] = 0.6 < 1: uniforms above it clamp to the last outcome

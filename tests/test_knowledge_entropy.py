@@ -316,6 +316,16 @@ class TestSelectionProcess:
         expect = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
         np.testing.assert_allclose(rep.rho_t2.mat, expect, atol=1e-12)
 
+    def test_selection_validates_each_state_once(self, monkeypatch):
+        # rho(t1), rho(t2) and the four marginals: one eigvalsh each, none for the report
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        rep = ke.apply_selection_process(*ke.relabeling_counterexample())
+        assert len(calls) == 6
+        np.testing.assert_array_equal(rep.rho_t2.mat, calls[1][0])
+        assert not rep.rho_t2.mat.flags.writeable
+
     def test_epsilon_zero_matches_ideal(self):
         rng = substream(41, 6)
         p = rng.random((2, 2))

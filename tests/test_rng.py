@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from qsim.decision_payoff import FREQUENCY_BLOCK
 from qsim.rng import (
-    _philox4x64_10,
+    _philox_word0,
     first_uniforms,
     mix64,
     substream,
@@ -86,22 +87,46 @@ def test_first_uniforms_vectors():
     )
 
 
-@pytest.mark.parametrize("key", [0, 1, 0x5E41AB087439611E, MAX64])
+# the first block numpy's Philox emits for a key: counter (1, 0, 0, 0)
+PHILOX_BLOCKS = {
+    0: [0x2F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79, 0x907D7A052FD5B4DC],
+    1: [0x4DB6A27B756282DF, 0xD944FA03BABE0E2F, 0x27F872E577060D32, 0x7F697696A0482A2],
+    0x5E41AB087439611E: [
+        0xA6DD3737D456674C, 0x12635A56BDBE1702, 0x5985281C4C5A9E20, 0x4C87EE1276CE7FBF
+    ],
+    MAX64: [0x3C2521C58DDE5BFB, 0xB7A1AD5DAE1306D7, 0x6942EAE9FD2FEB84, 0xB7552E878D1C26FE],
+}
+
+
+@pytest.mark.parametrize("key", sorted(PHILOX_BLOCKS))
 def test_philox_block_matches_numpy(key):
-    """Counter (1, 0, 0, 0) is the block numpy's Philox emits first."""
-    k = np.array([key], dtype=np.uint64)
-    zero = np.zeros_like(k)
-    words = _philox4x64_10((zero + 1, zero, zero, zero), (k, zero))
-    assert [int(w[0]) for w in words] == np.random.Philox(key=key).random_raw(4).tolist()
+    """Pins numpy's own Philox4x64-10 block; the kernel reproduces its word 0."""
+    assert np.random.Philox(key=key).random_raw(4).tolist() == PHILOX_BLOCKS[key]
+    assert _philox_word0(np.array([key], dtype=np.uint64)).tolist() == PHILOX_BLOCKS[key][:1]
+
+
+# 32-bit halves at 0 and all ones drive every carry of the split multiply
+EDGE_KEYS = [
+    0, 1, 2**32 - 1, 2**32, 2**63, MAX64,
+    0xFFFFFFFF00000000, 0xFFFFFFFF00000001, 0xFFFFFFFF12345678, 0x12345678FFFFFFFF,
+]
+
+
+def test_philox_word0_matches_numpy():
+    random_keys = np.random.default_rng(2011).integers(0, 2**64, 10_000, dtype=np.uint64)
+    keys = np.concatenate([np.array(EDGE_KEYS, dtype=np.uint64), random_keys])
+    want = [int(np.random.Philox(key=int(k)).random_raw(1)[0]) for k in keys]
+    assert _philox_word0(keys).tolist() == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, MAX64])
 def test_first_uniforms_match_substreams_bit_for_bit(seed):
-    want = np.array([substream(seed, i).random() for i in range(5000)])
-    for n in (1, 2047, 2048, 2049, 5000):
+    block = FREQUENCY_BLOCK
+    want = np.array([substream(seed, i).random() for i in range(block + 1)])
+    for n in (1, 2047, block - 1, block, block + 1):
         np.testing.assert_array_equal(first_uniforms(seed, 0, n), want[:n])
-    np.testing.assert_array_equal(first_uniforms(seed, 2047, 2), want[2047:2049])
-    np.testing.assert_array_equal(first_uniforms(seed, 4999, 1), want[4999:])
+    np.testing.assert_array_equal(first_uniforms(seed, block - 1, 2), want[block - 1 :])
+    np.testing.assert_array_equal(first_uniforms(seed, block, 1), want[block:])
 
 
 @pytest.mark.parametrize("seed", [0, 7, MAX64])
