@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 from .errors import CapacityError, QsimError, UsageError
@@ -40,43 +41,15 @@ def _parse_list(text: str, cast, kind: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # With this matcher argparse reads a spaced value such as `-inf` or `-2,2` as
+        # the flag's value, as it reads `--flag=-inf`; option strings and `--...` stay
+        # options.  It is set after `-h` is added, or `-h` would turn it off.
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
     def error(self, message):  # a rejected flag is one usage-error line, not the usage block
         raise UsageError(message)
-
-    def parse_args(self, args=None, namespace=None):
-        """Parse argv, reading `--flag -value` as `--flag=-value`.
-
-        argparse takes a spaced value such as `-inf` or `-2,2` for an unknown
-        option and reports only a missing argument; joined, the value reaches
-        the check that names it.  A registered option string or anything
-        starting with `--` is never taken as a value, so `--output --format`
-        still fails.
-        """
-        args = list(sys.argv[1:] if args is None else args)
-        options = self._option_string_actions
-        joined = []
-        while args:
-            arg = args.pop(0)
-            value = args[0] if args else ""
-            action = self._flag_action(arg)
-            if (
-                action is not None
-                and action.nargs is None
-                and value.startswith("-")
-                and not value.startswith("--")
-                and value not in options
-            ):
-                arg = f"{arg}={args.pop(0)}"
-            joined.append(arg)
-        return super().parse_args(joined, namespace)
-
-    def _flag_action(self, arg: str) -> argparse.Action | None:
-        """The action `arg` names in full, or as the unique prefix of a long option."""
-        options = self._option_string_actions
-        if arg in options:
-            return options[arg]
-        hits = {options[o] for o in options if arg.startswith("--") and o.startswith(arg)}
-        return hits.pop() if len(hits) == 1 else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +114,7 @@ def read_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             file_cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(file_cfg, dict):
         raise UsageError(
@@ -162,11 +135,11 @@ def read_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None]:
     """Merge defaults, env, config file, and flags into a ScenarioConfig."""
     merged = dict(DEFAULTS)
-    if os.environ.get("QSIM_SEED"):
+    if env_seed := os.environ.get("QSIM_SEED"):
         try:
-            merged["seed"] = int(os.environ["QSIM_SEED"])
+            merged["seed"] = int(env_seed)
         except ValueError as exc:
-            raise UsageError(f"QSIM_SEED must be an integer") from exc
+            raise UsageError(f"QSIM_SEED must be an integer, got {env_seed!r}") from exc
     file_cfg = read_config_file(args.config) if args.config else {}
     merged.update(file_cfg)
     for key in DEFAULTS:  # each flag's dest is its config key; None means not given
@@ -180,27 +153,30 @@ def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None
     return cfg, trials_override
 
 
+def _fail(kind: str, message, code: int) -> int:
+    """Print one stderr line, escaping any line break that user text brought in."""
+    text = "\\n".join(str(message).splitlines())
+    print(f"qsim: {kind}: {text}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg, trials_override = resolve_config(build_parser().parse_args(argv))
         report = run_scenario(cfg, trials_override)
     except CapacityError as exc:
-        print(f"qsim: capacity error: {exc}", file=sys.stderr)
-        return 3
+        return _fail("capacity error", exc, 3)
     except UsageError as exc:
-        print(f"qsim: error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("error", exc, 2)
     except QsimError as exc:
-        print(f"qsim: numerical error: {exc}", file=sys.stderr)
-        return 4
+        return _fail("numerical error", exc, 4)
     text = report.to_csv() if cfg.format == "csv" else report.to_json()
     if cfg.output_path:
         try:
             with open(cfg.output_path, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"qsim: error: cannot write report to {cfg.output_path}: {exc}", file=sys.stderr)
-            return 2
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            return _fail("error", f"cannot write report to {cfg.output_path}: {exc}", 2)
     else:
         sys.stdout.write(text)
     return report.exit_code

@@ -129,9 +129,6 @@ class OutcomeRow:
 @dataclass(frozen=True)
 class FrequencyReport:
     rows: tuple[OutcomeRow, ...]
-    n_trials: int
-    seed: int
-    expected_payoff: float
     max_deviation: float
 
 
@@ -162,10 +159,4 @@ def frequency_experiment(
         rows.append(
             OutcomeRow(label, float(weights[k]), int(counts[k]), freq, abs(freq - weights[k]))
         )
-    return FrequencyReport(
-        tuple(rows),
-        n_trials,
-        seed,
-        expected_payoff(v, a),
-        max(r.abs_deviation for r in rows),
-    )
+    return FrequencyReport(tuple(rows), max(r.abs_deviation for r in rows))

@@ -79,14 +79,17 @@ class SubsystemLayout:
         object.__setattr__(self, "factor_dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError(f"factor dims must be positive, got {dims}")
-        if self.total_dim > MAX_TOTAL_DIM:
-            raise CapacityError(
-                f"total dim {self.total_dim} exceeds maximum {MAX_TOTAL_DIM}"
-            )
+        total = self.total_dim
+        if total > MAX_TOTAL_DIM:
+            # int-to-decimal conversion is capped at 4,300 digits by default, 640 at
+            # the lowest setting; 2**2048 has 617
+            bits = total.bit_length()
+            size = total if bits <= 2048 else f"at least 2**{bits - 1}"
+            raise CapacityError(f"total dim {size} exceeds maximum {MAX_TOTAL_DIM}")
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.factor_dims))
+        return math.prod(self.factor_dims)
 
     @property
     def n_factors(self) -> int:

@@ -59,22 +59,6 @@ def _register(property_id: str, default_trials: int):
     return deco
 
 
-def _register_batch(property_id: str, default_trials: int):
-    """Register fn(seed, trials) -> (residuals, bound) that runs every trial at once.
-
-    Trial t must still draw from substream(seed, t) alone.
-    """
-
-    def deco(fn):
-        def runner(seed: int, trials: int) -> PropertyResult:
-            return _summarize(property_id, *fn(seed, trials))
-
-        REGISTRY[property_id] = (default_trials, runner)
-        return fn
-
-    return deco
-
-
 # false-alarm rate of the frequency-concentration property
 FREQ_DELTA = 1e-9
 
@@ -285,9 +269,13 @@ def _p_entropy_unitary(rng):
     return abs(s1 - s2), 1e-9
 
 
-@_register_batch("entropy.decoherence_never_decreases", 1000)
-def _p_decoherence(seed, trials):
-    return -ke.decoherence_margins(seed, trials), 1e-9
+def _p_decoherence(seed: int, trials: int) -> PropertyResult:
+    """Every trial at once; trial t still draws from substream(seed, t) alone."""
+    margins = ke.decoherence_margins(seed, trials)
+    return _summarize("entropy.decoherence_never_decreases", -margins, 1e-9)
+
+
+REGISTRY["entropy.decoherence_never_decreases"] = (1000, _p_decoherence)
 
 
 @_register("entropy.selection_preserves_global", 100)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+import sys
 import time
 from dataclasses import asdict, dataclass
 
@@ -26,6 +26,7 @@ from .errors import CapacityError, UsageError
 from .rng import substream
 
 MAX_SEED = 2**64 - 1  # seeds are 64-bit; larger ones would alias smaller ones
+MAX_REAL = sys.float_info.max
 
 
 def fmt(x: float) -> str:
@@ -56,7 +57,8 @@ class ScenarioConfig:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
         if self.trials > self.MAX_TRIALS:
             raise CapacityError(f"trials {self.trials} exceeds maximum {self.MAX_TRIALS}")
-        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+        # int-float comparisons are exact, so an int beyond the double range fails too
+        if not 0 <= self.epsilon <= MAX_REAL:
             raise UsageError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         seed = int(self.seed)
         if not 0 <= seed <= MAX_SEED:
@@ -64,24 +66,21 @@ class ScenarioConfig:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise UsageError(f"dims must be nonempty, each >= 2, got {list(dims)}")
-        if int(np.prod(dims)) > oc.MAX_TOTAL_DIM:
-            raise CapacityError(
-                f"total dim {int(np.prod(dims))} exceeds maximum {oc.MAX_TOTAL_DIM}"
-            )
+        oc.SubsystemLayout(dims)  # raises CapacityError above the total-dim cap
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
         if self.epsilon_sweep is not None:
-            sweep = tuple(float(e) for e in self.epsilon_sweep)
+            sweep = tuple(self.epsilon_sweep)
             if (
                 not sweep
-                or any(not math.isfinite(e) or e < 0 for e in sweep)
+                or any(not 0 <= e <= MAX_REAL for e in sweep)
                 or list(sweep) != sorted(sweep)
             ):
                 raise UsageError(
                     f"epsilon sweep must be a nonempty ascending list of finite values >= 0, "
                     f"got {list(sweep)}"
                 )
-            object.__setattr__(self, "epsilon_sweep", sweep)
+            object.__setattr__(self, "epsilon_sweep", tuple(float(e) for e in sweep))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "seed", seed)
 

@@ -243,6 +243,69 @@ class TestMalformedInput:
         self.assert_refused(code, out, err)
         assert err == "qsim: error: argument --output: expected one argument\n"
 
+    @pytest.mark.parametrize("argv", [["--output", "-out.json"], ["--output=-hx"]], ids=["spaced", "joined-h"])
+    def test_output_path_may_start_with_dash(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["payoff-demo", "--trials", "2", *argv], capsys, monkeypatch)
+        assert (code, out, err) == (0, "", "")
+        (written,) = tmp_path.iterdir()
+        assert written.name == argv[-1].removeprefix("--output=")
+        assert json.loads(written.read_text())["scenario"] == "payoff-demo"
+
+    def test_spaced_value_starting_with_h_is_the_help_flag(self, capsys, monkeypatch):
+        # `-hx` reads as `-h` with `x` attached, so `--output` has no value; `--output=-hx` works
+        code, out, err = run_cli(["payoff-demo", "--output", "-hx"], capsys, monkeypatch)
+        self.assert_refused(code, out, err)
+        assert err == "qsim: error: argument --output: expected one argument\n"
+
+    @pytest.mark.parametrize("scenario", ["copy-demo", "second-law"])
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (10**11, 10**11)], ids=["2**64", "10**22"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_dims_product_past_64_bits_is_capacity_error(
+        self, capsys, monkeypatch, tmp_path, scenario, dims, via
+    ):
+        # the product was once taken in int64, where 2**64 wraps to 0 and passes the cap
+        argv = [scenario, "--dims", ",".join(map(str, dims))]
+        if via == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({"dims": list(dims)}))
+            argv = [scenario, "--config", str(tmp_path / "cfg.json")]
+        code, out, err = run_cli(argv, capsys, monkeypatch)
+        assert (code, out) == (3, "")
+        assert err == f"qsim: capacity error: total dim {dims[0] * dims[1]} exceeds maximum 64\n"
+
+    @pytest.mark.parametrize(
+        "argv, config_text, line",
+        [
+            (["copy-demo"], json.dumps({"dims": [10**3000] * 2}),
+             "capacity error: total dim at least 2**19931 exceeds maximum 64"),
+            (["second-law"], json.dumps({"epsilon": 10**400}),
+             f"error: epsilon must be finite and >= 0, got {10**400}"),
+            (["second-law"], json.dumps({"epsilon_sweep": [0, 10**400]}),
+             f"error: epsilon sweep must be a nonempty ascending list of finite values >= 0, got [0, {10**400}]"),
+            (["payoff-demo"], "[" * 100_000 + "]" * 100_000,
+             "error: cannot read config file cfg.json: maximum recursion depth exceeded"),
+            (["payoff-demo", "--trials", "2"], json.dumps({"output_path": "a\0b"}),
+             "error: cannot write report to a\0b: embedded null byte"),
+            (["payoff-demo", "x\ny"], None, "error: unrecognized arguments: x\\ny"),
+            (["payoff-demo", "--config", "a\nb"], None,
+             "error: cannot read config file a\\nb: [Errno 2] No such file or directory: 'a\\nb'"),
+        ],
+        ids=["product-2**19931", "epsilon-int", "sweep-int", "deep-json", "nul-path", "newline-arg",
+             "newline-path"],
+    )
+    def test_found_input_is_refused_with_one_line(
+        self, capsys, monkeypatch, tmp_path, argv, config_text, line
+    ):
+        # each of these once ended in a traceback or wrote two stderr lines
+        monkeypatch.chdir(tmp_path)
+        if config_text is not None:
+            (tmp_path / "cfg.json").write_text(config_text)
+            argv = argv + ["--config", "cfg.json"]
+        code, out, err = run_cli(argv, capsys, monkeypatch)
+        self.assert_refused(code, out, err)
+        assert err.startswith(f"qsim: {line}")
+        assert list(tmp_path.iterdir()) == ([tmp_path / "cfg.json"] if config_text else [])
+
     def test_help_is_argparse_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
@@ -513,6 +576,7 @@ class TestPrecedence:
     def test_bad_env_seed(self, capsys, monkeypatch):
         code, _, err = run_cli(["payoff-demo"], capsys, monkeypatch, env_seed="abc")
         assert code == 2
+        assert err == "qsim: error: QSIM_SEED must be an integer, got 'abc'\n"
 
     def test_unreadable_config(self, capsys, monkeypatch, tmp_path):
         code, _, err = run_cli(
@@ -618,6 +682,13 @@ class TestPropertyChecks:
         assert code == 0
         (prop,) = json.loads(out)["results"]["properties"]
         assert prop["status"] == "pass" and prop["trials"] == 5
+
+    @pytest.mark.parametrize("property_id", sorted(properties.REGISTRY))
+    def test_registry_key_is_the_result_id(self, property_id):
+        _, runner = properties.REGISTRY[property_id]
+        result = runner(1, 1)
+        assert isinstance(result, properties.PropertyResult)
+        assert (result.property_id, result.trials) == (property_id, 1)
 
     def test_update_weight_propagates_unrelated_errors(self, monkeypatch):
         def broken(v, ci, label):

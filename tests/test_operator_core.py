@@ -422,6 +422,20 @@ class TestValidation:
         with pytest.raises(CapacityError):
             oc.SubsystemLayout((8, 9))
 
+    @pytest.mark.parametrize(
+        "dims, size",
+        [
+            ((2**32, 2**32), "18446744073709551616"),  # 0 once wrapped to 64 bits
+            ((10**11, 10**11), "10000000000000000000000"),
+            ((2,) * 15_000, "at least 2**15000"),  # too long to print in decimal
+        ],
+        ids=["2**64", "10**22", "2**15000"],
+    )
+    def test_layout_capacity_names_the_exact_product(self, dims, size):
+        with pytest.raises(CapacityError) as exc:
+            oc.SubsystemLayout(dims)
+        assert str(exc.value) == f"total dim {size} exceeds maximum 64"
+
     def test_projector_set_completeness(self):
         with pytest.raises(ValidationError):
             oc.ProjectorSet((np.diag([1.0, 0.0]).astype(complex),))
