@@ -24,21 +24,22 @@ from .operator_core import (
     check_density_stack,
     check_projector_stack,
     check_unitary_stack,
+    complex_pairs,
     dagger,
     eigenspaces,
     first_trial,
-    ginibre,
     gram_densities,
     haar_unitaries,
     hermitian_eigendecomposition,
     max_abs,
+    orthonormal_columns,
     partial_trace,
     partial_trace_matrix,
     random_block_sizes,
     trial_blocks,
     trial_name,
 )
-from .rng import substream
+from .rng import trial_generators
 
 EIGENVALUE_CLAMP = 1e-12
 
@@ -280,33 +281,29 @@ def entropy_after_decoherence_geq(
 DECOHERENCE_DIMS = (2, 8)  # smallest and largest dim of a random decoherence trial
 
 
-def _draw_decoherence_trial(rng: np.random.Generator) -> tuple:
-    """One trial's draws, in order: dim, rank, G (dim x rank), block sizes, Haar Ginibre matrix."""
-    lo, hi = DECOHERENCE_DIMS
-    dim = int(rng.integers(lo, hi + 1))
-    rank = int(rng.integers(1, dim + 1))
-    g = ginibre((dim, rank), rng)
-    blocks = random_block_sizes(dim, rng)
-    return dim, rank, g, blocks, ginibre((dim, dim), rng)
-
-
 def decoherence_margins(seed: int, trials: int) -> np.ndarray:
     """S(sum_k P_k rho P_k) - S(rho) of `trials` random ragged trials, in trial order.
 
-    Trial t draws from substream(seed, t): its dim d in DECOHERENCE_DIMS,
-    the rank r of rho = G G-dagger / tr with G a d x r complex Gaussian, its
-    block sizes, and the Ginibre matrix of the Haar unitary whose column
-    blocks span the projectors P_k.  The linear algebra then runs once per
-    d, over its trials in (block count, trial) order: G G-dagger per (d, r);
-    QR, then projectors and pinching per block count; then both entropies.
+    Trial t draws with the bits of substream(seed, t), through one
+    re-keyed generator per block (rng.trial_generators): its dim d in
+    DECOHERENCE_DIMS, the rank r of rho = G G-dagger / tr with G a d x r
+    complex Gaussian, its block sizes, and the Ginibre matrix of the Haar
+    unitary whose column blocks span the projectors P_k.  Each Gaussian is
+    kept as its raw (2, ...) draw of real and imaginary parts and made
+    complex once per stack.  The linear algebra then runs once per d, over
+    its trials in (block count, trial) order: G G-dagger per (d, r); QR,
+    then projectors and pinching per block count; then both entropies.
     Every check of random_density, random_projector_set and
-    entropy_after_decoherence_geq is kept, with its tolerance.  Within a d
-    (in increasing order) the unitary check runs first, then the projector
-    checks per block count, then the density checks, and a failure names
-    the first bad trial of the first failing check.  Every operation acts on
-    each trial alone, so a margin has the bits of one trial run alone.
-    Trials run in trial_blocks, so memory is bounded by the block, not by
-    `trials`.
+    entropy_after_decoherence_geq keeps its decision and tolerance.  Within
+    a d (in increasing order) the unitary check runs first, then the
+    projector checks per block count, then the density checks, and a
+    failure names the first bad trial of the first failing check.  The
+    projector checks run only on families whose unitary misses
+    ProjectorSet's Gram bound, which every other family passes (see
+    ProjectorSet), so they reject the same trial with the same message.
+    Every operation acts on each trial alone, so a margin has the bits of
+    one trial run alone.  Trials run in trial_blocks, so memory is bounded
+    by the block, not by `trials`.
     """
     margins = np.empty(trials)
     for block in trial_blocks(trials, DECOHERENCE_DIMS[1]):
@@ -316,25 +313,33 @@ def decoherence_margins(seed: int, trials: int) -> np.ndarray:
 
 def _decoherence_block(seed: int, block: range) -> np.ndarray:
     """Margins of the trials in `block`, grouped as decoherence_margins describes."""
+    lo, hi = DECOHERENCE_DIMS
     groups: dict[int, list] = {}
-    for t in block:
-        draw = _draw_decoherence_trial(substream(seed, t))
-        groups.setdefault(draw[0], []).append((t, *draw[1:]))
+    for t, rng in zip(block, trial_generators(seed, block.start, len(block))):
+        # trial t's draws, in order: dim, rank, G pair, block sizes, Ginibre pair
+        d = int(rng.integers(lo, hi + 1))
+        rank = int(rng.integers(1, d + 1))
+        g = rng.standard_normal((2, d, rank))
+        blocks = random_block_sizes(d, rng)
+        h = rng.standard_normal((2, d, d))
+        groups.setdefault(d, []).append((len(blocks), t, rank, g, blocks, h))
     margins = np.empty(len(block))
     for d in sorted(groups):
-        rows = sorted(groups.pop(d), key=lambda row: len(row[3]))  # stable: (block count, trial)
-        trials, ranks, counts = np.array([(row[0], row[1], len(row[3])) for row in rows]).T
+        rows = sorted(groups.pop(d), key=lambda row: row[0])  # stable: (block count, trial)
+        counts, trials, ranks = np.array([row[:3] for row in rows]).T
         rho = np.empty((len(rows), d, d), dtype=complex)
         for r in np.unique(ranks):
             at = np.flatnonzero(ranks == r)
-            rho[at] = gram_densities(np.array([rows[i][2] for i in at]))
-        u = haar_unitaries(np.array([row[4] for row in rows]))
-        check_unitary_stack(u, trials)
+            rho[at] = gram_densities(complex_pairs([rows[i][3] for i in at]))
+        u = haar_unitaries(complex_pairs([row[5] for row in rows]))
+        # a family whose U passes the Gram bound passes every projector check (see ProjectorSet)
+        range_rows = orthonormal_columns(u, check_unitary_stack(u, trials))
         pinched = np.empty_like(rho)
         for k in np.unique(counts):
             at = slice(*np.searchsorted(counts, [k, k + 1]))
-            projs = block_projectors(u[at], np.array([row[3] for row in rows[at]]))
-            check_projector_stack(projs, trials[at])
+            projs = block_projectors(u[at], np.array([row[4] for row in rows[at]]))
+            if (full := ~range_rows[at]).any():
+                check_projector_stack(projs[full], trials[at][full])
             pinched[at] = _pinch(rho[at], projs)
         s_before, s_after = _pinching_entropies(rho, pinched, trials)
         margins[trials - block.start] = s_after - s_before
@@ -544,23 +549,23 @@ def _complete_basis(partial: np.ndarray, dim: int) -> np.ndarray:
     return np.column_stack([partial, np.linalg.svd(partial)[0][:, partial.shape[1] :]])
 
 
-def perturbed_lams(dims: tuple[int, int], epsilon: float, rngs) -> np.ndarray:
+def perturbed_lams(dims: tuple[int, int], epsilon: float, normals: np.ndarray) -> np.ndarray:
     """Imperfect selections: the ideal family rotated by exp(epsilon * G_n).
 
     G_n is a random real antisymmetric generator with unit spectral norm,
-    built from one standard-normal (d, d) draw of rngs[n], so epsilon is a
-    severity dial.  epsilon = 0 draws nothing and gives every trial the
-    ideal family.  Returns the lambda stack (N, d1, d2, d1, d2); the N
-    matrix exponentials are one stacked expm.
+    built from normals[n], trial n's standard-normal (d, d) draw, so epsilon
+    is a severity dial.  epsilon = 0 reads only len(normals) (the trials
+    need draw nothing) and gives every trial the ideal family.  Returns the
+    lambda stack (N, d1, d2, d1, d2); the N matrix exponentials are one
+    stacked expm.
     """
     if not math.isfinite(epsilon) or epsilon < 0:
         raise UsageError(f"epsilon must be finite and >= 0, got {epsilon}")
     d1, d2 = int(dims[0]), int(dims[1])
     d = d1 * d2
     if epsilon == 0:
-        return np.broadcast_to(ThetaFamily.ideal((d1, d2)).lam, (len(rngs), d1, d2, d1, d2))
-    g = np.array([rng.standard_normal((d, d)) for rng in rngs])
-    g = g - g.transpose(0, 2, 1)
+        return np.broadcast_to(ThetaFamily.ideal((d1, d2)).lam, (len(normals), d1, d2, d1, d2))
+    g = normals - normals.transpose(0, 2, 1)
     g = g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
     import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
 
@@ -572,8 +577,13 @@ def perturbed_lams(dims: tuple[int, int], epsilon: float, rngs) -> np.ndarray:
 def perturb_selection(
     dims: tuple[int, int], epsilon: float, rng: np.random.Generator
 ) -> ThetaFamily:
-    """One imperfect selection: the one-trial case of perturbed_lams."""
-    return ThetaFamily(perturbed_lams(dims, epsilon, [rng])[0])
+    """One imperfect selection: the one-trial case of perturbed_lams.
+
+    rng draws the (d, d) normals only when epsilon > 0.
+    """
+    d = int(dims[0]) * int(dims[1])
+    normals = rng.standard_normal((1, d, d)) if epsilon > 0 else np.empty((1, d, d))
+    return ThetaFamily(perturbed_lams(dims, epsilon, normals)[0])
 
 
 def relabeling_counterexample() -> tuple[KnowledgeState, ThetaFamily]:

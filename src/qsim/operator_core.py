@@ -226,27 +226,37 @@ def check_density_stack(
     return evals
 
 
-def orthonormal_columns(q: np.ndarray) -> bool:
-    """The Gram check of a range basis (d, n): max|Q-dagger Q - I| <= TAU_PROJ / (2d)."""
-    return max_abs(dagger(q) @ q - np.eye(q.shape[1])) <= TAU_PROJ / (2 * q.shape[0])
+def gram_errors(q: np.ndarray) -> np.ndarray:
+    """max|Q-dagger Q - I| of a matrix (d, n) or of each in a stack (N, d, n); NaN if not finite."""
+    return _max_abs_rows(dagger(q) @ q - np.eye(q.shape[-1]))
 
 
-def _unitary_defect(u: np.ndarray) -> tuple[int, str] | None:
-    """First (row, message) of a finite stack (N, d, d) that is not unitary within TAU_UNITARY."""
-    err = _max_abs_rows(dagger(u) @ u - np.eye(u.shape[-1]))
-    i = first_trial(err > TAU_UNITARY)
+def orthonormal_columns(q: np.ndarray, errors: np.ndarray | None = None) -> np.ndarray:
+    """The Gram check of a range basis (d, n), or of each in a stack (N, d, n):
+    max|Q-dagger Q - I| <= TAU_PROJ / (2d); false for a non-finite basis.
+
+    `errors`, when given, are q's gram_errors, so the product is formed once.
+    """
+    return (gram_errors(q) if errors is None else errors) <= TAU_PROJ / (2 * q.shape[-2])
+
+
+def _unitary_defect(errors: np.ndarray) -> tuple[int, str] | None:
+    """First (row, message) of a stack, given its gram_errors, not unitary within TAU_UNITARY."""
+    i = first_trial(errors > TAU_UNITARY)
     return None if i is None else (i, "operator is not unitary within tolerance")
 
 
-def check_unitary_stack(mats: np.ndarray, trials: Sequence[int] | None = None) -> None:
+def check_unitary_stack(mats: np.ndarray, trials: Sequence[int] | None = None) -> np.ndarray:
     """Validate a stack (N, d, d) with UnitaryOperator's checks and tolerance.
 
     A failure names the first bad trial, numbered by `trials` (default: the
-    row index).
+    row index).  Returns each row's gram_errors.
     """
     u = _finite_stack(mats, "unitary", "(N, d, d)", trials)
-    if (defect := _unitary_defect(u)) is not None:
+    errors = gram_errors(u)
+    if (defect := _unitary_defect(errors)) is not None:
         raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
+    return errors
 
 
 def _projector_defect(p: np.ndarray) -> tuple[int, str] | None:
@@ -301,7 +311,7 @@ class UnitaryOperator:
             raise ValidationError(
                 f"unitary dim {m.shape[0]} != layout total {self.layout.total_dim}"
             )
-        if (defect := _unitary_defect(m[None])) is not None:
+        if (defect := _unitary_defect(gram_errors(m[None]))) is not None:
             raise ValidationError(defect[1])
         object.__setattr__(self, "mat", _freeze(m))
 
@@ -548,11 +558,23 @@ def evolve_state(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:
 # Random generation (Haar unitaries, random states, random projector families)
 
 
-def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian array: the real parts are drawn first, then the imaginary parts."""
-    out = np.empty(shape, dtype=complex)
-    out.real, out.imag = rng.standard_normal((2, *out.shape))  # the bits of two draws
+def complex_pairs(pairs) -> np.ndarray:
+    """Complex stack (N, ...) from N real arrays (2, ...) of real parts, then imaginary parts.
+
+    One assignment each for the real and the imaginary parts of the stack.
+    """
+    pairs = np.asarray(pairs)
+    out = np.empty(pairs.shape[:1] + pairs.shape[2:], dtype=complex)
+    out.real, out.imag = pairs[:, 0], pairs[:, 1]
     return out
+
+
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian array: the real parts are drawn first, then the imaginary parts.
+
+    The one-trial case of complex_pairs over one standard_normal draw.
+    """
+    return complex_pairs(rng.standard_normal((1, 2, *np.atleast_1d(shape))))[0]
 
 
 def haar_unitaries(g: np.ndarray) -> np.ndarray:

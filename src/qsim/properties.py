@@ -16,7 +16,7 @@ from . import decision_payoff as dp
 from . import heisenberg_flow as hf
 from . import knowledge_entropy as ke
 from . import operator_core as oc
-from .rng import substream
+from .rng import trial_generators
 
 
 @dataclass
@@ -46,11 +46,12 @@ def _summarize(property_id: str, residuals, bounds) -> PropertyResult:
 
 
 def _register(property_id: str, default_trials: int):
-    """Register fn(rng) -> (residual, bound), run once per trial on substream(seed, t)."""
+    """Register fn(rng) -> (residual, bound), run once per trial t on a generator
+    with the bits of substream(seed, t); fn must keep no reference to it."""
 
     def deco(fn):
         def runner(seed: int, trials: int) -> PropertyResult:
-            checks = [fn(substream(seed, t)) for t in range(trials)]
+            checks = [fn(rng) for rng in trial_generators(seed, 0, trials)]
             return _summarize(property_id, *zip(*checks))
 
         REGISTRY[property_id] = (default_trials, runner)
@@ -270,7 +271,7 @@ def _p_entropy_unitary(rng):
 
 
 def _p_decoherence(seed: int, trials: int) -> PropertyResult:
-    """Every trial at once; trial t still draws from substream(seed, t) alone."""
+    """Every trial at once; trial t still draws the bits of substream(seed, t)."""
     margins = ke.decoherence_margins(seed, trials)
     return _summarize("entropy.decoherence_never_decreases", -margins, 1e-9)
 

@@ -14,6 +14,7 @@ where mix64 is the splitmix64 output mixer
     z ^= z >> 27;  z *= 0x94D049BB133111EB   mod 2**64
     z ^= z >> 31
 
+`trial_generators` walks many substreams with one re-keyed generator, and
 `first_uniforms` computes the first `random()` of many substreams at once,
 bit for bit, with a Philox4x64-10 kernel on uint64 arrays that computes
 only output word 0 of the first block.  The derivation and the test vectors
@@ -21,6 +22,8 @@ live in docs/rng.md; tests/test_rng.py asserts them.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -75,6 +78,29 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     state.
     """
     return np.random.Generator(np.random.Philox(_PhiloxKey(substream_key(seed, index))))
+
+
+_KEY_CHUNK = 4096  # keys trial_generators computes at once
+
+
+def trial_generators(seed: int, start: int, n: int) -> Iterator[np.random.Generator]:
+    """One generator per trial i = start, ..., start + n - 1, in the state of `substream(seed, i)`.
+
+    One Philox and one Generator serve every trial.  A fresh Philox holds
+    counter 0, an empty buffer and no half-used 32-bit word, as a fresh
+    substream does, so before each yield its state is written back with
+    only the key changed to (key_i, 0): every draw has substream's bits,
+    and a new trial costs no new objects.  Every yield is the same
+    generator, valid only until the next trial is drawn; keep no reference.
+    """
+    bit_gen = np.random.Philox(_PhiloxKey(0))
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    for s in range(start, start + n, _KEY_CHUNK):
+        for key in substream_keys(seed, s, min(_KEY_CHUNK, start + n - s)).tolist():
+            state["state"]["key"] = [key, 0]
+            bit_gen.state = state
+            yield gen
 
 
 # Philox4x64-10 (Salmon et al., SC'11) as numpy.random.Philox implements it:

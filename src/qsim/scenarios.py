@@ -23,7 +23,7 @@ from . import knowledge_entropy as ke
 from . import operator_core as oc
 from . import properties
 from .errors import CapacityError, UsageError
-from .rng import substream
+from .rng import substream, trial_generators
 
 MAX_SEED = 2**64 - 1  # seeds are 64-bit; larger ones would alias smaller ones
 MAX_REAL = sys.float_info.max
@@ -46,7 +46,7 @@ class ScenarioConfig:
     format: str = "json"
     uniform_weights: bool = False  # second-law: fixed uniform p_ab per trial
 
-    MAX_TRIALS = 10**7  # a class constant, not a field
+    MAX_TRIALS = 10**7  # a class constant, not a field; for second-law, of rows x trials
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -79,6 +79,12 @@ class ScenarioConfig:
                 raise UsageError(
                     f"epsilon sweep must be a nonempty ascending list of finite values >= 0, "
                     f"got {list(sweep)}"
+                )
+            rows = len(sweep)
+            if self.scenario == "second-law" and self.trials * rows > self.MAX_TRIALS:
+                raise CapacityError(
+                    f"trials {self.trials} x {rows} epsilon-sweep rows = {self.trials * rows} "
+                    f"exceeds maximum {self.MAX_TRIALS}"
                 )
             object.__setattr__(self, "epsilon_sweep", tuple(float(e) for e in sweep))
         object.__setattr__(self, "dims", dims)
@@ -239,19 +245,24 @@ def _scenario_no_cloning(cfg: ScenarioConfig, trials_override: int | None):
 def _selection_ds(cfg: ScenarioConfig, seed: int, epsilon: float) -> tuple[list, list]:
     """ds1 and ds2 of cfg.trials imperfect selections, one stack per trial block.
 
-    Trial t draws from substream(seed, t): its weights first (unless
-    uniform), then its rotation generator (only when epsilon > 0).
+    Trial t draws with the bits of substream(seed, t), through one re-keyed
+    generator per block: its weights first (unless uniform), then the
+    normals of its rotation generator (only when epsilon > 0).
     """
     d1, d2 = cfg.dims
+    d = d1 * d2
     eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
     ds1, ds2 = [], []
-    for block in oc.trial_blocks(cfg.trials, d1 * d2):
-        rngs = [substream(seed, t) for t in block]
-        if cfg.uniform_weights:
-            p = np.full((len(block), d1, d2), 1.0 / (d1 * d2))
-        else:
-            p = np.array([w / w.sum() for w in (rng.random((d1, d2)) for rng in rngs)])
-        lam = ke.perturbed_lams((d1, d2), epsilon, rngs)
+    for block in oc.trial_blocks(cfg.trials, d):
+        p = np.full((len(block), d1, d2), 1.0 / d)
+        normals = np.empty((len(block), d, d))  # read only when epsilon > 0
+        for i, rng in enumerate(trial_generators(seed, block.start, len(block))):
+            if not cfg.uniform_weights:
+                w = rng.random((d1, d2))
+                p[i] = w / w.sum()
+            if epsilon > 0:
+                normals[i] = rng.standard_normal((d, d))
+        lam = ke.perturbed_lams((d1, d2), epsilon, normals)
         sel = ke.select_stack(p, lam, eye1, eye2, trials=block)
         ds1 += sel.ds1.tolist()
         ds2 += sel.ds2.tolist()

@@ -14,6 +14,7 @@ import pytest
 from qsim import cli, properties
 from qsim import heisenberg_flow as hf
 from qsim import operator_core as oc
+from qsim.errors import CapacityError
 from qsim.scenarios import SCENARIOS, ScenarioConfig, fmt, run_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -116,6 +117,40 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("qsim: capacity error: trials ") and "exceeds maximum" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["second-law", "--trials", "10000000", "--epsilon-sweep", "0,0"], None),
+            (["second-law"], {"trials": 2_500_001, "epsilon_sweep": [0, 0.1, 0.2, 0.3]}),
+        ],
+        ids=["flags", "config"],
+    )
+    def test_sweep_rows_times_trials_above_cap_is_capacity_error(
+        self, capsys, monkeypatch, tmp_path, argv, config
+    ):
+        def never(*args):
+            raise AssertionError("a run past the trial cap was started")
+
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        monkeypatch.setattr(cli, "run_scenario", never)
+        code, out, err = run_cli(argv, capsys, monkeypatch)
+        trials, rows = (10**7, 2) if config is None else (2_500_001, 4)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"qsim: capacity error: trials {trials} x {rows} epsilon-sweep rows = "
+            f"{trials * rows} exceeds maximum {ScenarioConfig.MAX_TRIALS}\n"
+        )
+
+    def test_sweep_rows_times_trials_at_cap_is_accepted(self):
+        cap = ScenarioConfig.MAX_TRIALS
+        ScenarioConfig("second-law", trials=cap // 4, epsilon_sweep=(0, 0, 1, 2))
+        # the product bounds second-law only; other scenarios ignore the sweep
+        ScenarioConfig("decoherence-demo", trials=cap, epsilon_sweep=(0, 0))
+        with pytest.raises(CapacityError):
+            ScenarioConfig("second-law", trials=cap // 4 + 1, epsilon_sweep=(0, 0, 1, 2))
 
     def test_trial_cap_in_config_file(self, capsys, monkeypatch, tmp_path):
         cfg_path = tmp_path / "cfg.json"

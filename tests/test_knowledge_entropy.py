@@ -230,12 +230,19 @@ class TestEntropyInequality:
             assert margin >= -1e-9
 
 
-def one_trial_margin(seed, t):
-    """A decoherence margin through the one-trial API, drawn as the kernel draws it."""
+def one_trial_draws(seed, t):
+    """(dim, rho, block sizes, rng) of a decoherence trial through the one-trial API,
+    drawn as the kernel draws it; rng is left before the Haar unitary's draw."""
     rng = substream(seed, t)
     dim = int(rng.integers(2, 9))
     rho = oc.random_density(dim, int(rng.integers(1, dim + 1)), rng)
-    ps = oc.random_projector_set(dim, oc.random_block_sizes(dim, rng), rng)
+    return dim, rho, oc.random_block_sizes(dim, rng), rng
+
+
+def one_trial_margin(seed, t):
+    """A decoherence margin through the one-trial API, drawn as the kernel draws it."""
+    dim, rho, blocks, rng = one_trial_draws(seed, t)
+    ps = oc.random_projector_set(dim, blocks, rng)
     return ke.entropy_after_decoherence_geq(rho, ps)[2]
 
 
@@ -277,10 +284,106 @@ class TestDecoherenceKernel:
             return u * 1.001 if u.shape[1] == 3 else u
 
         monkeypatch.setattr(ke, "haar_unitaries", skewed)
-        draws = [ke._draw_decoherence_trial(substream(2, t)) for t in range(30)]
-        dim3 = [(len(blocks), t) for t, (dim, _, _, blocks, _) in enumerate(draws) if dim == 3]
+        draws = [one_trial_draws(2, t) for t in range(30)]
+        dim3 = [(len(blocks), t) for t, (dim, _, blocks, _) in enumerate(draws) if dim == 3]
         with pytest.raises(ValidationError, match=rf"^trial {min(dim3)[1]}: operator is not unitary"):
             ke.decoherence_margins(2, 30)
+
+
+def gram_stretch(d, eps):
+    """S = sqrt(I + eps (J - I)): for unitary U, (U S)-dagger (U S) - I = eps (J - I),
+    whose largest entry is eps."""
+    w, v = np.linalg.eigh(np.eye(d) + eps * (np.ones((d, d)) - np.eye(d)))
+    return (v * np.sqrt(w)) @ v.T
+
+
+def kernel_outcome(seed, trials, warp, every_row=False):
+    """(margins, or the message of the error raised; trials whose projectors were checked)
+    of decoherence_margins with each unitary stack u replaced by warp(u).
+
+    every_row gives every family the projector checks, as the kernel did before
+    it skipped the families whose unitary passes ProjectorSet's Gram bound.
+    """
+    checked = []
+    check, haar = ke.check_projector_stack, ke.haar_unitaries
+
+    def spy(projs, rows):
+        checked.extend(int(t) for t in rows)
+        return check(projs, rows)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ke, "haar_unitaries", lambda g: warp(haar(g)))
+        m.setattr(ke, "check_projector_stack", spy)
+        if every_row:
+            m.setattr(ke, "orthonormal_columns", lambda u, errors: np.zeros(len(u), dtype=bool))
+        try:
+            out = ke.decoherence_margins(seed, trials).tolist()
+        except ValidationError as exc:
+            out = str(exc)
+    return out, checked
+
+
+class TestGramShortcut:
+    def test_gram_miss_gets_every_projector_check(self):
+        # a unitary within TAU_UNITARY whose Gram error misses TAU_PROJ / (2d):
+        # Q = H S with H a reflection taking the all-ones direction to e_1, so
+        # Q Q-dagger - I = eps (d e_1 e_1-dagger - I), and its families fail
+        # ProjectorSet's checks (a block of several columns fails idempotence first)
+        d, eps = 8, 0.9 * oc.TAU_UNITARY
+        w = np.ones(d) / np.sqrt(d) - np.eye(d)[0]
+        q = (np.eye(d) - 2 * np.outer(w, w) / (w @ w)) @ gram_stretch(d, eps)
+        assert oc.gram_errors(q) <= oc.TAU_UNITARY and not oc.orthonormal_columns(q)
+
+        def warp(u):
+            return np.broadcast_to(q, u.shape).astype(complex) if u.shape[-1] == d else u
+
+        got, checked = kernel_outcome(7, 60, warp)
+        want, _ = kernel_outcome(7, 60, warp, every_row=True)
+        assert got == want
+        assert isinstance(got, str) and got.startswith("trial ") and ": projector" in got
+        dims = {t: one_trial_draws(7, t)[0] for t in range(60)}
+        assert checked and all(dims[t] == d for t in checked)
+
+    @pytest.mark.parametrize(
+        "bound, scale",
+        [("gram", 0.5), ("gram", 0.99), ("gram", 1.01), ("gram", 2.0),
+         ("unitary", 0.5), ("unitary", 0.99), ("unitary", 1.01)],
+    )
+    def test_near_misses_decided_as_by_every_check(self, bound, scale):
+        def warp(u):
+            d = u.shape[-1]
+            tau = oc.TAU_PROJ / (2 * d) if bound == "gram" else oc.TAU_UNITARY
+            return u @ gram_stretch(d, scale * tau)
+
+        # the stretch also moves traces, so a density check may stop the run; the
+        # same check at the same trial either way
+        got, checked = kernel_outcome(8, 80, warp)
+        want, checked_by_all = kernel_outcome(8, 80, warp, every_row=True)
+        assert got == want
+        if bound == "gram" and scale < 1:
+            assert checked == [] and checked_by_all
+        elif bound == "gram" or scale < 1:
+            assert checked == checked_by_all
+        else:
+            assert got.endswith("operator is not unitary within tolerance") and checked == []
+
+    def test_projector_set_and_kernel_share_the_gram_check(self, monkeypatch):
+        assert ke.orthonormal_columns is oc.orthonormal_columns
+        calls = []
+        check = oc.orthonormal_columns
+
+        def spy(q, errors=None):
+            calls.append((q.shape, errors is None))
+            return check(q, errors)
+
+        monkeypatch.setattr(oc, "orthonormal_columns", spy)
+        monkeypatch.setattr(ke, "orthonormal_columns", spy)
+        oc.ProjectorSet.from_blocks(np.eye(3), [1, 2])
+        assert calls == [((3, 3), True)]
+        ke.decoherence_margins(1, 50)
+        # one call per dim, on the unitary stack, with check_unitary_stack's Gram errors
+        dims = sorted({one_trial_draws(1, t)[0] for t in range(50)})
+        assert [(shape[1:], fresh) for shape, fresh in calls[1:]] == [((d, d), False) for d in dims]
 
 
 class TestXiRotation:
@@ -429,12 +532,16 @@ def filtered_entropy(m):
 def stack_inputs(seed, n, dims, eps, uniform=False):
     """Weights and lambda of n trials drawn as the second-law scenario draws them."""
     d1, d2 = dims
+    d = d1 * d2
     rngs = [substream(seed, t) for t in range(n)]
     if uniform:
-        p = np.full((n, d1, d2), 1.0 / (d1 * d2))
+        p = np.full((n, d1, d2), 1.0 / d)
     else:
         p = np.array([w / w.sum() for w in (rng.random(dims) for rng in rngs)])
-    return p, ke.perturbed_lams(dims, eps, rngs)
+    normals = np.empty((n, d, d))  # read only when eps > 0
+    if eps > 0:
+        normals = np.array([rng.standard_normal((d, d)) for rng in rngs])
+    return p, ke.perturbed_lams(dims, eps, normals)
 
 
 def eye_bases(dims):
@@ -535,14 +642,17 @@ class TestStackedSelection:
         assert np.any(np.linalg.eigvalsh(sel.marginals[1]) < ke.EIGENVALUE_CLAMP)
 
     def test_epsilon_zero_draws_nothing(self):
-        rngs = [substream(47, t) for t in range(3)]
-        lam = ke.perturbed_lams((2, 3), 0.0, rngs)
+        # perturbed_lams reads only the trial count of its normals at epsilon = 0
+        lam = ke.perturbed_lams((2, 3), 0.0, np.full((3, 6, 6), np.nan))
         assert lam.shape == (3, 2, 3, 2, 3)
         np.testing.assert_array_equal(lam[2], ke.ThetaFamily.ideal((2, 3)).lam)
-        for t, rng in enumerate(rngs):
-            assert rng.random() == substream(47, t).random()
+        rng = substream(47, 0)
+        ke.perturb_selection((2, 3), 0.0, rng)
+        assert rng.random() == substream(47, 0).random()
 
     @pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
     def test_bad_epsilon_rejected(self, eps):
         with pytest.raises(UsageError):
-            ke.perturbed_lams((2, 2), eps, [substream(48, 0)])
+            ke.perturbed_lams((2, 2), eps, substream(48, 0).standard_normal((1, 4, 4)))
+        with pytest.raises(UsageError):
+            ke.perturb_selection((2, 2), eps, substream(48, 0))

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from qsim import knowledge_entropy as ke
+from qsim import operator_core as oc
+from qsim import rng
 from qsim.decision_payoff import FREQUENCY_BLOCK
 from qsim.rng import (
     _philox_word0,
@@ -11,7 +14,9 @@ from qsim.rng import (
     substream,
     substream_key,
     substream_keys,
+    trial_generators,
 )
+from qsim.scenarios import ScenarioConfig, run_scenario
 
 MAX64 = 2**64 - 1
 
@@ -145,3 +150,80 @@ def test_substream_keys_wrap_like_substream_key(seed):
 def test_mix64_on_arrays_matches_ints():
     xs = [0, 1, 0x9E3779B97F4A7C15, MAX64, 2**63]
     assert mix64(np.array(xs, dtype=np.uint64)).tolist() == [mix64(x) for x in xs]
+
+
+def plain_state(gen: np.random.Generator) -> dict:
+    """The bit generator's state with its arrays as lists, so states compare with ==."""
+    state = gen.bit_generator.state
+    return {
+        **state,
+        "state": {k: v.tolist() for k, v in state["state"].items()},
+        "buffer": state["buffer"].tolist(),
+    }
+
+
+def trial_draws(gen: np.random.Generator) -> list:
+    """A trial's draws of every kind the trial loops use; its three 32-bit integers,
+    an odd count, leave half of a 64-bit word unread."""
+    return [
+        gen.integers(2, 9),
+        gen.standard_normal((2, 3, 2)).tolist(),
+        gen.random(3).tolist(),
+        gen.integers(0, 2**63, size=2).tolist(),
+        gen.integers(0, 2**32 - 1, size=2, dtype=np.uint32).tolist(),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, MAX64])
+def test_trial_generators_are_substreams_bit_for_bit(seed):
+    # starts where mix64(seed) + t wraps past 2**64 - 1, and where t itself does
+    for start in (0, 2**64 - mix64(seed) - 3, MAX64 - 2):
+        gens = trial_generators(seed, start, 6)
+        for t, gen in zip(range(start, start + 6), gens):
+            assert plain_state(gen) == plain_state(substream(seed, t))
+            assert trial_draws(gen) == trial_draws(substream(seed, t))
+            assert gen.bit_generator.state["has_uint32"] == 1
+
+
+def test_half_used_word_does_not_leak_into_the_next_trial():
+    gens = trial_generators(5, 0, 2)
+    gen = next(gens)
+    gen.integers(0, 2**32 - 1, size=3, dtype=np.uint32)
+    assert gen.bit_generator.state["has_uint32"] == 1
+    assert next(gens) is gen
+    assert gen.bit_generator.state["has_uint32"] == 0
+    assert gen.integers(0, 2**32 - 1, size=3, dtype=np.uint32).tolist() == (
+        substream(5, 1).integers(0, 2**32 - 1, size=3, dtype=np.uint32).tolist()
+    )
+
+
+def test_trial_generators_cross_key_chunks(monkeypatch):
+    monkeypatch.setattr(rng, "_KEY_CHUNK", 3)
+    got = [gen.random() for gen in trial_generators(9, 4, 8)]
+    assert got == [substream(9, t).random() for t in range(4, 12)]
+    assert list(trial_generators(9, 4, 0)) == []
+
+
+def count_philox(monkeypatch) -> list:
+    """Record every Philox bit generator built from now on."""
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *args, **kw: built.append(1) or philox(*args, **kw))
+    return built
+
+
+@pytest.mark.parametrize("per_block", [None, 7])
+def test_decoherence_builds_one_philox_per_trial_block(monkeypatch, per_block):
+    if per_block:
+        monkeypatch.setattr(oc, "STACK_ELEMENTS", per_block * 64)
+    blocks = len(list(oc.trial_blocks(600, ke.DECOHERENCE_DIMS[1])))
+    built = count_philox(monkeypatch)
+    ke.decoherence_margins(4, 600)
+    assert len(built) == blocks == (1 if per_block is None else 86)
+
+
+def test_second_law_builds_one_philox_per_row_block(monkeypatch):
+    built = count_philox(monkeypatch)
+    cfg = ScenarioConfig("second-law", seed=3, trials=300, epsilon_sweep=(0.0, 0.1, 0.2))
+    assert run_scenario(cfg).exit_code == 0
+    assert len(built) == 3  # three rows of one trial block each
