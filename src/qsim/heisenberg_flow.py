@@ -490,40 +490,31 @@ class BranchDecomposition:
 def branch_decomposition(
     rho_initial: DensityMatrix, ci: CopyInteraction
 ) -> BranchDecomposition:
-    """Evolve, then split into non-interfering sectors of the copied labels."""
+    """Evolve, then split into non-interfering sectors of the copied labels.
+
+    With Q_i = P_i x I for the S sectors P_i of copied_sectors, every block
+    Q_i rho Q_j is one (S, S, D, D) stack.  Its diagonal gives the
+    branches; S1 sees the off-diagonal blocks with S2 traced out, and S2
+    sees the off-diagonal blocks of its reduced state in its copied basis.
+    """
     rho_out = evolve_state(
         DensityMatrix(ci.layout, rho_initial.mat), ci.unitary
     )
     sectors = copied_sectors(ci.phases, ci.proj1)
-    d2 = ci.proj2.dim
-    i2 = np.eye(d2, dtype=complex)
-    lifted = [(label, np.kron(p, i2)) for label, p in sectors]
-    branches = []
-    for label, q in lifted:
-        block = q @ rho_out.mat @ q
-        w = float(np.trace(block).real)
-        if w > 1e-12:
-            branches.append(Branch(label, w, DensityMatrix(ci.layout, block / w)))
-    # interference visible on S1 alone: trace out S2 from each cross block
-    cross1 = 0.0
     dims = ci.layout.factor_dims
-    for i in range(len(lifted)):
-        for j in range(len(lifted)):
-            if i == j:
-                continue
-            block = lifted[i][1] @ rho_out.mat @ lifted[j][1]
-            reduced = partial_trace_matrix(block, dims, (0,))
-            cross1 = max(cross1, max_abs(reduced))
-    # interference visible on S2 alone, blocks taken in the copied basis of S2
+    q = kron_stack(np.array([p for _, p in sectors]), np.eye(dims[1], dtype=complex))
+    blocks = (q @ rho_out.mat)[:, None] @ q[None]
+    branches = []
+    for i, (label, _) in enumerate(sectors):
+        w = float(np.trace(blocks[i, i]).real)
+        if w > 1e-12:
+            branches.append(Branch(label, w, DensityMatrix(ci.layout, blocks[i, i] / w)))
+    off = ~np.eye(len(sectors), dtype=bool)
+    cross1 = max_abs(partial_trace_matrix(blocks[off], dims, (0,)))
     cross2 = 0.0
     if len(sectors) > 1:
         basis2, groups2 = _block_basis(ci.proj2)
         rho2 = partial_trace_matrix(rho_out.mat, dims, keep=(1,))
-        rho2_blocks = dagger(basis2) @ rho2 @ basis2
-        for c in range(len(groups2)):
-            for d in range(len(groups2)):
-                if c == d:
-                    continue
-                sub = rho2_blocks[np.ix_(groups2[c], groups2[d])]
-                cross2 = max(cross2, max_abs(sub))
+        group = np.repeat(np.arange(len(groups2)), [len(g) for g in groups2])
+        cross2 = max_abs((dagger(basis2) @ rho2 @ basis2)[group[:, None] != group])
     return BranchDecomposition(tuple(branches), cross1, cross2, rho_out)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import UsageError, ValidationError
 from .operator_core import (
     TAU_ORTH,
-    TAU_PSD,
     DensityMatrix,
     ProjectorSet,
     SubsystemLayout,
@@ -45,22 +44,13 @@ EIGENVALUE_CLAMP = 1e-12
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -tr(rho log2 rho), in bits."""
-    evals = np.linalg.eigvalsh(rho.mat)
-    if evals.min() < -TAU_PSD:
-        raise ValidationError(f"state has eigenvalue {evals.min()} < 0")
-    return _entropy_bits(evals)
-
-
-def _entropy_bits(evals: np.ndarray) -> float:
-    """-sum_k l_k log2 l_k over the eigenvalues above EIGENVALUE_CLAMP, in bits."""
-    evals = np.clip(evals, 0.0, None)
-    nz = evals[evals > EIGENVALUE_CLAMP]
-    return float(-np.sum(nz * np.log2(nz)))
+    """S(rho) = -tr(rho log2 rho), in bits: the one-state case of _spectral_entropies."""
+    return float(_spectral_entropies(np.linalg.eigvalsh(rho.mat)[None])[0])
 
 
 def _spectral_entropies(evals: np.ndarray) -> np.ndarray:
-    """_entropy_bits of each row of an ascending eigenvalue stack (N, n).
+    """-sum_k l_k log2 l_k over the eigenvalues above EIGENVALUE_CLAMP, in bits,
+    for each row of an ascending eigenvalue stack (N, n).
 
     The rows that keep m eigenvalues keep their last m, so they are summed
     as one contiguous (k, m) array, which gives the bits of a row-by-row
@@ -69,7 +59,7 @@ def _spectral_entropies(evals: np.ndarray) -> np.ndarray:
     """
     kept = (evals > EIGENVALUE_CLAMP).sum(axis=-1)
     out = np.empty(len(evals))
-    for m in np.unique(kept):
+    for m in sorted(set(kept.tolist())):
         rows = kept == m
         x = evals[rows, evals.shape[-1] - m :]
         out[rows] = -np.sum(x * np.log2(x), axis=-1)
@@ -83,7 +73,7 @@ class FreeEnergyParams:
     entropy: float
 
     def __post_init__(self):
-        if self.temperature < 0:
+        if not self.temperature >= 0:
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
 
 
@@ -107,10 +97,10 @@ class KnowledgeState:
 
     def __post_init__(self):
         p = np.asarray(self.p_ab, dtype=float)
-        if p.ndim != 2 or np.any(p < -1e-12):
+        if p.ndim != 2 or not np.all(p >= -1e-12):
             raise ValidationError("weights must form a nonnegative matrix")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-10:
+        if not abs(p.sum() - 1.0) <= 1e-10:
             raise ValidationError(f"weights sum to {p.sum()}, expected 1")
         d1, d2 = self.layout.factor_dims
         b1 = np.asarray(self.basis1, dtype=complex)
@@ -118,7 +108,7 @@ class KnowledgeState:
         if b1.shape != (d1, p.shape[0]) or b2.shape != (d2, p.shape[1]):
             raise ValidationError("basis shapes do not match weights and layout")
         for b in (b1, b2):
-            if max_abs(dagger(b) @ b - np.eye(b.shape[1])) > TAU_ORTH:
+            if not max_abs(dagger(b) @ b - np.eye(b.shape[1])) <= TAU_ORTH:
                 raise ValidationError("knowledge basis is not orthonormal")
         object.__setattr__(self, "p_ab", p)
 
@@ -173,13 +163,13 @@ class ThetaFamily:
         lam = np.asarray(self.lam)
         if lam.ndim != 4:
             raise ValidationError("lambda must be a 4-index array")
-        if np.iscomplexobj(lam) and max_abs(lam.imag) > 1e-12:
+        if np.iscomplexobj(lam) and not max_abs(lam.imag) <= 1e-12:
             raise ValidationError("lambda must be real")
         lam = np.asarray(lam.real if np.iscomplexobj(lam) else lam, dtype=float)
         na, nb, d1, d2 = lam.shape
         flat = lam.reshape(na * nb, d1 * d2)
         gram = flat @ flat.T
-        if max_abs(gram - np.eye(na * nb)) > TAU_ORTH:
+        if not max_abs(gram - np.eye(na * nb)) <= TAU_ORTH:
             raise ValidationError("theta family is not orthonormal")
         object.__setattr__(self, "lam", lam)
 
@@ -195,11 +185,7 @@ class ThetaFamily:
     @staticmethod
     def ideal(dims: tuple[int, int]) -> "ThetaFamily":
         d1, d2 = dims
-        lam = np.zeros((d1, d2, d1, d2))
-        for a in range(d1):
-            for b in range(d2):
-                lam[a, b, a, b] = 1.0
-        return ThetaFamily(lam)
+        return ThetaFamily(np.eye(d1 * d2).reshape(d1, d2, d1, d2))
 
 
 def _theta_kets(lam: np.ndarray, basis1: np.ndarray, basis2: np.ndarray) -> np.ndarray:
@@ -218,7 +204,7 @@ class XiRotation:
         xi = np.asarray(self.xi, dtype=float)
         if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
             raise ValidationError("xi must be a square real matrix")
-        if max_abs(xi @ xi.T - np.eye(xi.shape[0])) > TAU_ORTH:
+        if not max_abs(xi @ xi.T - np.eye(xi.shape[0])) <= TAU_ORTH:
             raise ValidationError("xi rows are not orthonormal")
         object.__setattr__(self, "xi", xi)
 
@@ -328,14 +314,14 @@ def _decoherence_block(seed: int, block: range) -> np.ndarray:
         rows = sorted(groups.pop(d), key=lambda row: row[0])  # stable: (block count, trial)
         counts, trials, ranks = np.array([row[:3] for row in rows]).T
         rho = np.empty((len(rows), d, d), dtype=complex)
-        for r in np.unique(ranks):
+        for r in sorted(set(ranks.tolist())):
             at = np.flatnonzero(ranks == r)
             rho[at] = gram_densities(complex_pairs([rows[i][3] for i in at]))
         u = haar_unitaries(complex_pairs([row[5] for row in rows]))
         # a family whose U passes the Gram bound passes every projector check (see ProjectorSet)
         range_rows = orthonormal_columns(u, check_unitary_stack(u, trials))
         pinched = np.empty_like(rho)
-        for k in np.unique(counts):
+        for k in sorted(set(counts.tolist())):
             at = slice(*np.searchsorted(counts, [k, k + 1]))
             projs = block_projectors(u[at], np.array([row[4] for row in rows[at]]))
             if (full := ~range_rows[at]).any():
@@ -443,8 +429,7 @@ def select_stack(
 
     Each stack is validated once, with the checks and tolerances of
     KnowledgeState (weights), ThetaFamily (lambda) and DensityMatrix
-    (rho(t1), rho(t2) and the four marginals; von_neumann_entropy's PSD
-    check is the same test on the same eigenvalues).  A failure names the
+    (rho(t1), rho(t2) and the four marginals).  A failure names the
     first bad trial, numbered by `trials` (default: the stack index).  Every
     operation acts on each trial alone, so a trial's numbers are those of a
     one-trial stack.

@@ -424,6 +424,8 @@ class SpectralDecomposition:
         object.__setattr__(self, "phases", phases)
         if len(phases) != len(self.projectors):
             raise ValidationError("phase count must match projector count")
+        if not all(map(math.isfinite, phases)):
+            raise ValidationError("phases must be finite")
         gap = np.abs(np.subtract.outer(phases, phases))[np.triu_indices(len(phases), 1)]
         if np.any(np.minimum(gap, TWO_PI - gap) <= TAU_PHASE):
             raise ValidationError("phases are not distinct beyond tolerance")
@@ -605,7 +607,7 @@ def block_projectors(u: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     blocks = np.asarray(blocks)
     starts = np.cumsum(blocks, axis=1) - blocks
     out = np.empty((n, blocks.shape[1], d, d), dtype=complex)
-    for b in np.unique(blocks):
+    for b in sorted(set(blocks.ravel().tolist())):
         rows, ks = np.nonzero(blocks == b)
         cols = starts[rows, ks][:, None, None] + np.arange(b)
         vecs = u[rows[:, None, None], np.arange(d)[:, None], cols]

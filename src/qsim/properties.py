@@ -279,14 +279,19 @@ def _p_decoherence(seed: int, trials: int) -> PropertyResult:
 REGISTRY["entropy.decoherence_never_decreases"] = (1000, _p_decoherence)
 
 
+def _random_selection(rng, dims, max_epsilon):
+    """Weights p, their knowledge state, a selection at epsilon in [0, max_epsilon)
+    and its report, drawn in that order."""
+    p = rng.random(dims)
+    p /= p.sum()
+    ks = ke.build_knowledge_state(p, dims)
+    theta = ke.perturb_selection(dims, float(rng.uniform(0, max_epsilon)), rng)
+    return p, ks, theta, ke.apply_selection_process(ks, theta)
+
+
 @_register("entropy.selection_preserves_global", 100)
 def _p_selection_global(rng):
-    d1, d2 = _random_dim(rng, 2, 3), _random_dim(rng, 2, 3)
-    p = rng.random((d1, d2))
-    p /= p.sum()
-    ks = ke.build_knowledge_state(p, (d1, d2))
-    theta = ke.perturb_selection((d1, d2), float(rng.uniform(0, 0.5)), rng)
-    rep = ke.apply_selection_process(ks, theta)
+    p, ks, _, rep = _random_selection(rng, (_random_dim(rng, 2, 3), _random_dim(rng, 2, 3)), 0.5)
     rho_t1 = ks.realized_density()
     s_err = abs(rep.s_global - ke.von_neumann_entropy(rho_t1))
     a = np.sort(np.linalg.eigvalsh(rep.rho_t2.mat))
@@ -297,12 +302,7 @@ def _p_selection_global(rng):
 
 @_register("entropy.marginal_formula_matches_trace", 200)
 def _p_formula(rng):
-    d1, d2 = _random_dim(rng, 2, 3), _random_dim(rng, 2, 3)
-    p = rng.random((d1, d2))
-    p /= p.sum()
-    ks = ke.build_knowledge_state(p, (d1, d2))
-    theta = ke.perturb_selection((d1, d2), float(rng.uniform(0, 1.0)), rng)
-    rep = ke.apply_selection_process(ks, theta)
+    rep = _random_selection(rng, (_random_dim(rng, 2, 3), _random_dim(rng, 2, 3)), 1.0)[3]
     return rep.formula_residual, 1e-10
 
 
@@ -324,13 +324,8 @@ def _p_form(rng):
 
 @_register("entropy.theta_measurement_fixed_point", 50)
 def _p_theta_fixed(rng):
-    d1, d2 = 2, 2
-    p = rng.random((d1, d2))
-    p /= p.sum()
-    ks = ke.build_knowledge_state(p, (d1, d2))
-    theta = ke.perturb_selection((d1, d2), float(rng.uniform(0, 1.0)), rng)
-    rep = ke.apply_selection_process(ks, theta)
-    vecs = theta.vectors(np.eye(d1, dtype=complex), np.eye(d2, dtype=complex))
+    _, _, theta, rep = _random_selection(rng, (2, 2), 1.0)
+    vecs = theta.vectors(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
     ps = oc.ProjectorSet.from_basis(vecs)
     dephased = ke.projective_decoherence(rep.rho_t2, ps)
     return oc.max_abs(dephased.mat - rep.rho_t2.mat), 1e-10

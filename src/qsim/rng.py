@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -54,30 +53,13 @@ def substream_keys(seed: int, start: int, n: int) -> np.ndarray:
     return mix64(np.arange(n, dtype=np.uint64) + base)
 
 
-class _PhiloxKey(ISeedSequence):
-    """Seed sequence that hands Philox a given key.
-
-    Philox takes its 128-bit key from `generate_state(2, np.uint64)` of its
-    seed sequence, so answering (key, 0) yields the state of
-    `Philox(key=key)`: counter 0, empty buffer.  That constructor would
-    first build an OS-entropy `SeedSequence` only to discard it, about half
-    the cost of a substream.
-    """
-
-    def __init__(self, key: int):
-        self._words = np.array([key, 0], dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._words
-
-
 def substream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for trial `index` under `seed`.
 
     Every call builds a fresh bit generator, so live substreams never share
     state.
     """
-    return np.random.Generator(np.random.Philox(_PhiloxKey(substream_key(seed, index))))
+    return np.random.Generator(np.random.Philox(key=substream_key(seed, index)))
 
 
 _KEY_CHUNK = 4096  # keys trial_generators computes at once
@@ -93,7 +75,7 @@ def trial_generators(seed: int, start: int, n: int) -> Iterator[np.random.Genera
     and a new trial costs no new objects.  Every yield is the same
     generator, valid only until the next trial is drawn; keep no reference.
     """
-    bit_gen = np.random.Philox(_PhiloxKey(0))
+    bit_gen = np.random.Philox(key=0)
     gen = np.random.Generator(bit_gen)
     state = bit_gen.state
     for s in range(start, start + n, _KEY_CHUNK):

@@ -741,12 +741,13 @@ from qsim import cli
 
 for argv in (["payoff-demo"], ["no-cloning"], ["decoherence-demo"], ["second-law", "--epsilon", "0"]):
     assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
 def test_scenarios_without_schur_or_expm_never_import_scipy(tmp_path):
-    # scipy.linalg is imported inside spectral_decompose_unitary and perturbed_lams only
+    # scipy.linalg is imported inside spectral_decompose_unitary and perturbed_lams only;
+    # numpy.ma, which np.unique imports on first call, is not imported at all
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("QSIM_SEED", None)
@@ -754,4 +755,4 @@ def test_scenarios_without_schur_or_expm_never_import_scipy(tmp_path):
         [sys.executable, "-c", SCIPY_FREE, str(tmp_path / "report.json")],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"

@@ -506,6 +506,60 @@ class TestBranchDecomposition:
         bd = hf.branch_decomposition(rho, ci)
         assert abs(sum(b.weight for b in bd.branches) - 1.0) <= 1e-10
 
+    @pytest.mark.parametrize("case", ["one-sector", "merged", *range(12)])
+    def test_block_stack_equals_double_loop(self, case):
+        # bit for bit against one Q_i rho Q_j product per pair
+        rng = substream(22, case if isinstance(case, int) else 99)
+        if case == "merged":
+            p1, p2 = oc.computational_projectors(3), oc.computational_projectors(2)
+            ci = hf.build_copy_unitary(DEGENERATE_PHASES, p1, p2)
+        else:
+            d1, d2 = (int(rng.integers(2, 5)) for _ in range(2))
+            p1, p2 = (oc.random_projector_set(d, oc.random_block_sizes(d, rng), rng) for d in (d1, d2))
+            phases = rng.uniform(0, 2 * np.pi, (len(p1), len(p2)))
+            if case == "one-sector":  # equal rows: the interaction tells no S1 label apart
+                phases[:] = phases[0]
+            ci = hf.build_copy_unitary(phases, p1, p2)
+        d = ci.unitary.dim
+        rho = oc.DensityMatrix(ci.layout, oc.random_density(d, int(rng.integers(1, d + 1)), rng).mat)
+        bd = hf.branch_decomposition(rho, ci)
+        weights, cross1, cross2 = loop_branch_decomposition(bd.evolved.mat, ci)
+        assert [(b.label, b.weight.hex()) for b in bd.branches] == [
+            (label, w.hex()) for label, w in weights
+        ]
+        assert bd.cross_branch_norm_s1.hex() == cross1.hex()
+        assert bd.cross_branch_norm_s2.hex() == cross2.hex()
+        if case == "one-sector":
+            assert len(bd.branches) == 1 and cross1 == 0.0
+
+
+def loop_branch_decomposition(rho_out, ci):
+    """Reference: (label, weight) per branch, then the S1 and S2 cross norms, one block at a time."""
+    sectors = hf.copied_sectors(ci.phases, ci.proj1)
+    dims = ci.layout.factor_dims
+    lifted = [(label, np.kron(p, np.eye(dims[1], dtype=complex))) for label, p in sectors]
+    weights = []
+    for label, q in lifted:
+        w = float(np.trace(q @ rho_out @ q).real)
+        if w > 1e-12:
+            weights.append((label, w))
+    cross1 = 0.0
+    for i in range(len(lifted)):
+        for j in range(len(lifted)):
+            if i != j:
+                block = lifted[i][1] @ rho_out @ lifted[j][1]
+                cross1 = max(cross1, oc.max_abs(oc.partial_trace_matrix(block, dims, (0,))))
+    cross2 = 0.0
+    if len(sectors) > 1:
+        basis2, groups2 = hf._block_basis(ci.proj2)
+        rho2 = oc.partial_trace_matrix(rho_out, dims, (1,))
+        rho2_blocks = oc.dagger(basis2) @ rho2 @ basis2
+        for c in range(len(groups2)):
+            for d in range(len(groups2)):
+                if c != d:
+                    cross2 = max(cross2, oc.max_abs(rho2_blocks[np.ix_(groups2[c], groups2[d])]))
+    return weights, cross1, cross2
+
 
 # S1 labels 0 and 1 share a phase row, so the interaction never tells them apart
 DEGENERATE_PHASES = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, np.pi]])

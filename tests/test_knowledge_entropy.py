@@ -78,20 +78,40 @@ class TestVonNeumannEntropy:
         )
 
 
+def entropy_bits(evals):
+    """Reference: -sum_k l_k log2 l_k over the eigenvalues above EIGENVALUE_CLAMP, in bits."""
+    evals = np.clip(evals, 0.0, None)
+    nz = evals[evals > ke.EIGENVALUE_CLAMP]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
+def clamped_rows(rng, count, n):
+    """Ascending unit-sum rows whose 0..n-1 leading entries are clamped to zero,
+    EIGENVALUE_CLAMP or below it, or tiny negatives, as eigvalsh gives them."""
+    tiny = [0.0, 1e-13, ke.EIGENVALUE_CLAMP, -1e-15, -3e-14]
+    clamped = np.arange(n) < rng.integers(0, n, count)[:, None]
+    small = np.where(clamped, rng.choice(tiny, (count, n)), 0.0)
+    large = np.where(clamped, 0.0, rng.random((count, n)))
+    large *= (1.0 - small.sum(axis=1, keepdims=True)) / large.sum(axis=1, keepdims=True)
+    return np.sort(small + large, axis=1)
+
+
 class TestSpectralEntropies:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 16, 17, 33, 64])
     def test_rows_are_entropy_bits(self, n):
-        # ascending rows whose 0..n-1 leading entries are clamped to zero,
-        # EIGENVALUE_CLAMP or below it, or tiny negatives, as eigvalsh gives them
         rng = substream(43, n)
-        tiny = [0.0, 1e-13, ke.EIGENVALUE_CLAMP, -1e-15, -3e-14]
         for _ in range(180):
-            evals = rng.random((50, n))
-            evals /= evals.sum(axis=1, keepdims=True)
-            clamped = np.arange(n) < rng.integers(0, n, 50)[:, None]
-            evals = np.sort(np.where(clamped, rng.choice(tiny, (50, n)), evals), axis=1)
+            evals = clamped_rows(rng, 50, n)
             rows = ke._spectral_entropies(evals)
-            assert [x.hex() for x in rows.tolist()] == [ke._entropy_bits(e).hex() for e in evals]
+            assert [x.hex() for x in rows.tolist()] == [entropy_bits(e).hex() for e in evals]
+
+    def test_von_neumann_entropy_is_entropy_bits(self):
+        # one state at a time, every n up to the dimension cap
+        for n in range(1, oc.MAX_TOTAL_DIM + 1):
+            for row in clamped_rows(substream(44, n), 50, n):
+                rho = oc.DensityMatrix.from_matrix(np.diag(row))
+                expected = entropy_bits(np.linalg.eigvalsh(rho.mat))
+                assert ke.von_neumann_entropy(rho).hex() == expected.hex()
 
 
 class TestFreeEnergy:
@@ -110,6 +130,10 @@ class TestFreeEnergy:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValidationError):
             ke.FreeEnergyParams(1.0, -0.1, 1.0)
+
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValidationError, match="temperature must be >= 0, got nan"):
+            ke.FreeEnergyParams(1.0, float("nan"), 1.0)
 
 
 class TestKnowledgeState:
@@ -144,6 +168,16 @@ class TestKnowledgeState:
             ke.build_knowledge_state(np.array([[0.7, 0.7]]), (2, 2))
         with pytest.raises(ValidationError):
             ke.build_knowledge_state(np.array([[1.5, -0.5]]), (2, 2))
+
+    @pytest.mark.parametrize("where", ["weights", "basis1", "basis2"])
+    def test_nan_rejected(self, where):
+        ks = ke.build_knowledge_state(np.diag([0.5, 0.5]), (2, 2))
+        parts = {"weights": ks.p_ab, "basis1": ks.basis1, "basis2": ks.basis2}
+        parts[where] = parts[where].copy()
+        parts[where][0, 0] = np.nan
+        message = "nonnegative" if where == "weights" else "not orthonormal"
+        with pytest.raises(ValidationError, match=message):
+            ke.KnowledgeState(parts["weights"], parts["basis1"], parts["basis2"], ks.layout)
 
 
 class TestKnowledgeFormTest:
@@ -399,6 +433,10 @@ class TestXiRotation:
         with pytest.raises(ValidationError):
             ke.XiRotation(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError, match="not orthonormal"):
+            ke.XiRotation(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 class TestSelectionProcess:
     def test_ideal_selection_is_noop(self):
@@ -479,6 +517,14 @@ class TestSelectionProcess:
         lam = np.zeros((2, 2, 2, 2))
         lam[:, :, 0, 0] = 1.0  # all four vectors identical
         with pytest.raises(ValidationError):
+            ke.ThetaFamily(lam)
+
+    @pytest.mark.parametrize("part", [1.0, 1j])
+    def test_nan_theta_rejected(self, part):
+        lam = ke.ThetaFamily.ideal((2, 2)).lam + 0j
+        lam[0, 0, 0, 0] += np.nan * part
+        message = "not orthonormal" if part == 1.0 else "must be real"
+        with pytest.raises(ValidationError, match=message):
             ke.ThetaFamily(lam)
 
 

@@ -238,6 +238,12 @@ class TestSpectralDecomposition:
         with pytest.raises(ValidationError):
             oc.UnitaryOperator.from_matrix(np.diag([1.0, 2.0]).astype(complex))
 
+    @pytest.mark.parametrize("phases", [(np.nan,), (0.0, np.nan), (np.inf, 1.0)])
+    def test_non_finite_phases_rejected(self, phases):
+        projs = oc.computational_projectors(len(phases))
+        with pytest.raises(ValidationError, match="phases must be finite"):
+            oc.SpectralDecomposition(phases, projs)
+
 
 class TestEvolveState:
     def test_identity(self):
