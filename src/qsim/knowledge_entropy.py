@@ -75,6 +75,10 @@ class FreeEnergyParams:
     def __post_init__(self):
         if not self.temperature >= 0:
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        if not self.entropy >= 0:
+            raise ValidationError(f"entropy must be >= 0, got {self.entropy}")
+        if not all(map(math.isfinite, (self.energy, self.temperature, self.entropy))):
+            raise ValidationError(f"free-energy parameters must be finite, got {self}")
 
 
 def free_energy(params: FreeEnergyParams) -> float:
@@ -447,7 +451,7 @@ def select_stack(
     if b1.shape != (d1, d1) or b2.shape != (d2, d2) or na > d1 or nb > d2:
         raise ValidationError(f"bases {b1.shape}, {b2.shape} do not match lambda {lam.shape}")
     for b in (b1, b2):
-        if max_abs(dagger(b) @ b - np.eye(b.shape[1])) > TAU_ORTH:
+        if not max_abs(dagger(b) @ b - np.eye(b.shape[1])) <= TAU_ORTH:
             raise ValidationError("knowledge basis is not orthonormal")
     if (i := first_trial((p < -1e-12).any(axis=(1, 2)))) is not None:
         raise ValidationError(f"{trial_name(i, trials)}: weights must form a nonnegative matrix")
@@ -534,27 +538,34 @@ def _complete_basis(partial: np.ndarray, dim: int) -> np.ndarray:
     return np.column_stack([partial, np.linalg.svd(partial)[0][:, partial.shape[1] :]])
 
 
-def perturbed_lams(dims: tuple[int, int], epsilon: float, normals: np.ndarray) -> np.ndarray:
-    """Imperfect selections: the ideal family rotated by exp(epsilon * G_n).
+def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=None) -> np.ndarray:
+    """Imperfect selections: the ideal family rotated by exp(epsilon_n * G_n).
 
     G_n is a random real antisymmetric generator with unit spectral norm,
     built from normals[n], trial n's standard-normal (d, d) draw, so epsilon
-    is a severity dial.  epsilon = 0 reads only len(normals) (the trials
-    need draw nothing) and gives every trial the ideal family.  Returns the
-    lambda stack (N, d1, d2, d1, d2); the N matrix exponentials are one
-    stacked expm.
+    is a severity dial: a scalar shared by every trial, or one value per
+    trial, shape (N,).  A trial with epsilon_n = 0 gets the ideal family and
+    its normals are never read (it need draw nothing).  Returns the lambda
+    stack (N, d1, d2, d1, d2); the matrix exponentials of the epsilon_n > 0
+    trials are one stacked expm.  A zero generator names its trial,
+    numbered by `trials` (default: the stack index).
     """
-    if not math.isfinite(epsilon) or epsilon < 0:
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (len(normals),))
+    if not (np.isfinite(eps) & (eps >= 0)).all():
         raise UsageError(f"epsilon must be finite and >= 0, got {epsilon}")
     d1, d2 = int(dims[0]), int(dims[1])
     d = d1 * d2
-    if epsilon == 0:
-        return np.broadcast_to(ThetaFamily.ideal((d1, d2)).lam, (len(normals), d1, d2, d1, d2))
-    g = normals - normals.transpose(0, 2, 1)
-    g = g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
-    import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
+    r = np.empty((len(normals), d, d))
+    r[:] = ThetaFamily.ideal((d1, d2)).lam.reshape(d, d)
+    if (on := np.flatnonzero(eps > 0)).size:
+        g = normals[on] - normals[on].transpose(0, 2, 1)
+        norm = np.linalg.norm(g, 2, axis=(1, 2))
+        if (i := first_trial(norm == 0)) is not None:
+            raise ValidationError(f"{trial_name(on[i], trials)}: rotation generator is zero")
+        g = g / norm[:, None, None]
+        import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
 
-    r = scipy.linalg.expm(epsilon * g)
+        r[on] = scipy.linalg.expm(eps[on, None, None] * g)
     # column (a*d2 + b) of r_n is theta_ab in the computational product basis
     return r.transpose(0, 2, 1).reshape(-1, d1, d2, d1, d2)
 

@@ -242,39 +242,45 @@ def _scenario_no_cloning(cfg: ScenarioConfig, trials_override: int | None):
     return results, _table(("source", "fidelity"), results["fidelities"])
 
 
-def _selection_ds(cfg: ScenarioConfig, seed: int, epsilon: float) -> tuple[list, list]:
-    """ds1 and ds2 of cfg.trials imperfect selections, one stack per trial block.
+def _sweep_ds(cfg: ScenarioConfig, sweep: tuple[float, ...]) -> np.ndarray:
+    """ds1 and ds2 of every imperfect selection of a sweep, as a (2, rows, trials) array.
 
-    Trial t draws with the bits of substream(seed, t), through one re-keyed
-    generator per block: its weights first (unless uniform), then the
-    normals of its rotation generator (only when epsilon > 0).
+    Trial t of row i draws with the bits of substream(cfg.seed + i, t): its
+    weights first (unless uniform), then the normals of its rotation
+    generator (only when epsilon_i > 0), so a row does not depend on the
+    sweep's shape.  The (row, trial) index runs flattened in trial blocks,
+    each one stack with one re-keyed generator per row segment, one
+    perturbed_lams and one select_stack.
     """
     d1, d2 = cfg.dims
-    d = d1 * d2
+    d, n = d1 * d2, cfg.trials
     eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-    ds1, ds2 = [], []
-    for block in oc.trial_blocks(cfg.trials, d):
+    ds = np.empty((2, len(sweep) * n))
+    for block in oc.trial_blocks(len(sweep) * n, d):
         p = np.full((len(block), d1, d2), 1.0 / d)
-        normals = np.empty((len(block), d, d))  # read only when epsilon > 0
-        for i, rng in enumerate(trial_generators(seed, block.start, len(block))):
-            if not cfg.uniform_weights:
-                w = rng.random((d1, d2))
-                p[i] = w / w.sum()
-            if epsilon > 0:
-                normals[i] = rng.standard_normal((d, d))
-        lam = ke.perturbed_lams((d1, d2), epsilon, normals)
-        sel = ke.select_stack(p, lam, eye1, eye2, trials=block)
-        ds1 += sel.ds1.tolist()
-        ds2 += sel.ds2.tolist()
-    return ds1, ds2
+        normals = np.empty((len(block), d, d))  # read only where epsilon > 0
+        j = 0
+        for row in range(block.start // n, (block.stop - 1) // n + 1):
+            t0, t1 = max(block.start - row * n, 0), min(block.stop - row * n, n)
+            for rng in trial_generators(cfg.seed + row, t0, t1 - t0):
+                if not cfg.uniform_weights:
+                    rng.random(out=p[j])
+                if sweep[row] > 0:
+                    rng.standard_normal(out=normals[j])
+                j += 1
+        if not cfg.uniform_weights:
+            p /= p.reshape(len(block), -1).sum(axis=1)[:, None, None]
+        rows, trials = np.divmod(np.arange(block.start, block.stop), n)
+        lam = ke.perturbed_lams((d1, d2), np.asarray(sweep)[rows], normals, trials=trials)
+        sel = ke.select_stack(p, lam, eye1, eye2, trials=trials)
+        ds[:, block.start : block.stop] = sel.ds1, sel.ds2
+    return ds.reshape(2, len(sweep), n)
 
 
-def _sweep_row(cfg: ScenarioConfig, i: int, epsilon: float) -> dict:
-    # per-epsilon substream block keeps rows independent of sweep shape
-    ds1, ds2 = _selection_ds(cfg, cfg.seed + i, epsilon)
+def _sweep_row(epsilon: float, ds1: list, ds2: list) -> dict:
     return {
         "epsilon": fmt(epsilon),
-        "trials": cfg.trials,
+        "trials": len(ds1),
         "mean_ds1": fmt(sum(ds1) / len(ds1)),
         "mean_ds2": fmt(sum(ds2) / len(ds2)),
         "violation_fraction_s1": fmt(sum(1 for d in ds1 if d < -1e-9) / len(ds1)),
@@ -285,7 +291,9 @@ def _sweep_row(cfg: ScenarioConfig, i: int, epsilon: float) -> dict:
 def _scenario_second_law(cfg: ScenarioConfig, trials_override: int | None):
     if len(cfg.dims) != 2:
         raise UsageError("second-law scenario needs exactly two factors")
-    sweep = [_sweep_row(cfg, i, eps) for i, eps in enumerate(cfg.epsilon_sweep or (cfg.epsilon,))]
+    epsilons = cfg.epsilon_sweep or (cfg.epsilon,)
+    ds1, ds2 = _sweep_ds(cfg, epsilons).tolist()
+    sweep = [_sweep_row(*row) for row in zip(epsilons, ds1, ds2)]
     # the shipped counterexample: a perfect relabeling that lowers S1
     ks, theta = ke.relabeling_counterexample()
     counter = ke.apply_selection_process(ks, theta)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, precedence, determinism, schemas, goldens."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from qsim import cli, properties
 from qsim import heisenberg_flow as hf
+from qsim import knowledge_entropy as ke
 from qsim import operator_core as oc
 from qsim.errors import CapacityError
 from qsim.scenarios import SCENARIOS, ScenarioConfig, fmt, run_scenario
@@ -505,6 +507,42 @@ class TestDeterminism:
         # 16, 1 and 4 trials per block
         monkeypatch.setattr(oc, "STACK_ELEMENTS", 2**8)
         assert run_scenario(cfg).results_payload() == whole
+
+    @pytest.mark.parametrize(
+        "dims, trials, sweep, uniform",
+        [
+            ((8, 8), 150, (0.05, 0.2), False),  # 256 trials per block: row 1 is split at 106
+            ((3, 3), 40, (0.1, 0.3), False),  # 9-entry weight sums
+            ((2, 3), 30, (0.0, 0.1, 0.2), True),
+            ((2, 2), 50, (0.0, 0.0, 0.1, 0.4), False),
+        ],
+        ids=["8x8-split-rows", "3x3", "uniform-weights", "epsilon-zero-rows"],
+    )
+    def test_sweep_rows_equal_single_row_runs(self, dims, trials, sweep, uniform):
+        cfg = ScenarioConfig(
+            "second-law", seed=11, dims=dims, trials=trials, epsilon_sweep=sweep,
+            uniform_weights=uniform,
+        )
+        rows = run_scenario(cfg).results["sweep"]
+        for i, eps in enumerate(sweep):
+            one = dataclasses.replace(cfg, seed=cfg.seed + i, epsilon_sweep=(eps,))
+            assert run_scenario(one).results["sweep"] == [rows[i]], f"row {i}"
+
+    def test_second_law_sweep_is_one_stack(self, monkeypatch):
+        # one select_stack for the 400 trials (then the one-trial counterexample)
+        # and one expm for the 300 with epsilon > 0
+        import scipy.linalg
+
+        stacks, expms = [], []
+        select_stack, expm = ke.select_stack, scipy.linalg.expm
+        monkeypatch.setattr(
+            ke, "select_stack", lambda p, *a, **kw: stacks.append(len(p)) or select_stack(p, *a, **kw)
+        )
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: expms.append(a.shape) or expm(a))
+        cfg = ScenarioConfig("second-law", trials=100, epsilon_sweep=(0.0, 0.05, 0.1, 0.2))
+        assert run_scenario(cfg).exit_code == 0
+        assert stacks == [400, 1]
+        assert expms == [(300, 4, 4)]
 
 
 class TestGoldenCsv:

@@ -135,6 +135,19 @@ class TestFreeEnergy:
         with pytest.raises(ValidationError, match="temperature must be >= 0, got nan"):
             ke.FreeEnergyParams(1.0, float("nan"), 1.0)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((float("nan"), 1.0, 1.0), "free-energy parameters must be finite"),
+            ((1.0, 1.0, -5.0), "entropy must be >= 0, got -5.0"),
+            ((1.0, float("inf"), 0.0), "free-energy parameters must be finite"),
+        ],
+        ids=["nan-energy", "negative-entropy", "infinite-temperature"],
+    )
+    def test_invalid_params_rejected(self, params, message):
+        with pytest.raises(ValidationError, match=message):
+            ke.FreeEnergyParams(*params)
+
 
 class TestKnowledgeState:
     def test_pure_product(self):
@@ -666,6 +679,15 @@ class TestStackedSelection:
         with pytest.raises(CapacityError):
             ke.select_stack(np.ones((1, 1, 1)), np.ones((1, 1, 1, 9, 9)), *eye_bases((9, 9)))
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_basis_rejected_before_any_state(self, which):
+        # a defect every trial shares is not blamed on trial 0
+        bases = list(eye_bases((2, 2)))
+        bases[which][0, 0] = np.nan
+        lam = ke.perturbed_lams((2, 2), 0.0, np.empty((3, 4, 4)))
+        with pytest.raises(ValidationError, match=r"^knowledge basis is not orthonormal$"):
+            ke.select_stack(np.full((3, 2, 2), 0.25), lam, *bases)
+
     def test_complex_lambda_rejected_per_trial(self):
         p, lam = stack_inputs(45, 4, (2, 2), 0.2)
         lam = np.array(lam, dtype=complex)
@@ -695,6 +717,24 @@ class TestStackedSelection:
         rng = substream(47, 0)
         ke.perturb_selection((2, 3), 0.0, rng)
         assert rng.random() == substream(47, 0).random()
+
+    def test_per_trial_epsilon_equals_scalar_calls(self):
+        eps = np.array([0.0, 0.3, 0.0, 0.1, 0.7, 0.0])
+        normals = substream(49, 0).standard_normal((len(eps), 6, 6))
+        normals[eps == 0] = np.nan  # never read
+        lam = ke.perturbed_lams((2, 3), eps, normals)
+        for n, e in enumerate(eps.tolist()):
+            one = ke.perturbed_lams((2, 3), e, normals[n : n + 1])
+            assert lam[n].tobytes() == one[0].tobytes()
+            assert lam[n].strides == one[0].strides  # same layout, so same downstream bits
+
+    def test_zero_generator_names_its_trial(self):
+        normals = substream(50, 0).standard_normal((3, 4, 4))
+        normals[1] = normals[1] + normals[1].T  # G = n - n^T = 0
+        with pytest.raises(ValidationError, match=r"^trial 1: rotation generator is zero$"):
+            ke.perturbed_lams((2, 2), 0.2, normals)
+        with pytest.raises(ValidationError, match=r"^trial 8: rotation generator is zero$"):
+            ke.perturbed_lams((2, 2), np.array([0.1, 0.2, 0.3]), normals, trials=[7, 8, 9])
 
     @pytest.mark.parametrize("eps", [-0.1, float("nan"), float("inf")])
     def test_bad_epsilon_rejected(self, eps):
