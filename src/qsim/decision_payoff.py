@@ -23,6 +23,7 @@ from .operator_core import (
     max_abs,
     support_projector,
     tensor_product,
+    unit_ket,
 )
 from .rng import first_uniforms
 
@@ -55,8 +56,7 @@ class RelativeState:
 
     @staticmethod
     def from_ket(ket: np.ndarray, label: tuple = ()) -> "RelativeState":
-        ket = np.asarray(ket, dtype=complex).reshape(-1)
-        ket = ket / np.linalg.norm(ket)
+        ket = unit_ket(ket)
         return RelativeState(np.outer(ket, ket.conj()), label)
 
 

@@ -26,6 +26,7 @@ from .operator_core import (
     kron_stack,
     max_abs,
     partial_trace_matrix,
+    unit_ket,
     weighted_sum,
 )
 
@@ -122,14 +123,11 @@ def build_copy_unitary(
 ) -> CopyInteraction:
     """Assemble the product-of-projectors interaction unitary.
 
-    The global phase gauge is fixed by shifting all phases so phi[0, 0] = 0.
+    The global phase gauge is fixed by shifting all phases so phi[0, 0] = 0;
+    CopyInteraction checks the shape of the phase matrix.
     """
     phases = np.asarray(phases, dtype=float)
-    if phases.shape != (len(p1), len(p2)):
-        raise ValidationError(
-            f"phase matrix shape {phases.shape} != ({len(p1)}, {len(p2)})"
-        )
-    return CopyInteraction(phases - phases[0, 0], p1, p2)
+    return CopyInteraction(phases - (phases.flat[0] if phases.size else 0.0), p1, p2)
 
 
 def cnot_interaction() -> CopyInteraction:
@@ -450,16 +448,14 @@ def no_cloning_demo(
     """
     if any(r != 1 for r in copier.proj1.ranks()):
         raise UsageError("no-cloning demo needs rank-1 projectors on S1")
-    blank = np.asarray(blank, dtype=complex).reshape(-1)
-    blank = blank / np.linalg.norm(blank)
+    blank = unit_ket(blank, "blank", copier.proj2.dim)
     basis1, _ = _block_basis(copier.proj1)
     # per-branch target pointer state: U_a |blank> with U_a = sum_b e^{i phi_ab} P_2b
     uas = weighted_sum(np.exp(1j * copier.phases), copier.proj2.projectors)
     betas = [ua @ blank for ua in uas]
     fidelities = []
-    for psi in source_states:
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
+    for i, psi in enumerate(source_states):
+        psi = unit_ket(psi, f"source state {i}", copier.proj1.dim)
         out = copier.unitary.mat @ np.kron(psi, blank)
         amps = dagger(basis1) @ psi
         clone = sum(amps[a] * betas[a] for a in range(len(betas)))

@@ -28,11 +28,10 @@ from .operator_core import (
     eigenspaces,
     first_trial,
     gram_densities,
+    gram_errors,
     haar_unitaries,
-    hermitian_eigendecomposition,
     max_abs,
     orthonormal_columns,
-    partial_trace,
     partial_trace_matrix,
     random_block_sizes,
     trial_blocks,
@@ -90,9 +89,28 @@ def free_energy(params: FreeEnergyParams) -> float:
 # Knowledge states
 
 
+def _weights_defect(p: np.ndarray) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Weights clipped at 0 of a stack (N, na, nb), and its first (row, message) that is no
+    distribution (not 3-index, NaN or an entry below -1e-12; a sum off 1 by over 1e-10), or None."""
+    nonnegative = (p >= -1e-12).all(axis=(1, 2)) if p.ndim == 3 else np.zeros(1, dtype=bool)
+    if (i := first_trial(~nonnegative)) is not None:
+        return p, (i, "weights must form a nonnegative matrix")
+    p = np.clip(p, 0.0, None)
+    total = p.sum(axis=(1, 2))
+    if (i := first_trial(~(np.abs(total - 1.0) <= 1e-10))) is not None:
+        return p, (i, f"weights sum to {total[i]}, expected 1")
+    return p, None
+
+
+def _check_orthonormal(*bases: np.ndarray, message="knowledge basis is not orthonormal") -> None:
+    """Bases (d, n) must have orthonormal columns within TAU_ORTH (NaN fails), else message."""
+    if not all(gram_errors(b) <= TAU_ORTH for b in bases):
+        raise ValidationError(message)
+
+
 @dataclass(frozen=True)
 class KnowledgeState:
-    """Classically correlated bipartite state sum_ab p_ab |a><a| x |b><b|."""
+    """Classically correlated state sum_ab p_ab |a><a| x |b><b|, checked as select_stack is."""
 
     p_ab: np.ndarray
     basis1: np.ndarray  # columns: the |a> vectors
@@ -100,20 +118,16 @@ class KnowledgeState:
     layout: SubsystemLayout
 
     def __post_init__(self):
-        p = np.asarray(self.p_ab, dtype=float)
-        if p.ndim != 2 or not np.all(p >= -1e-12):
-            raise ValidationError("weights must form a nonnegative matrix")
-        p = np.clip(p, 0.0, None)
-        if not abs(p.sum() - 1.0) <= 1e-10:
-            raise ValidationError(f"weights sum to {p.sum()}, expected 1")
+        p, defect = _weights_defect(np.asarray(self.p_ab, dtype=float)[None])
+        if defect is not None:
+            raise ValidationError(defect[1])
+        p = p[0]
         d1, d2 = self.layout.factor_dims
         b1 = np.asarray(self.basis1, dtype=complex)
         b2 = np.asarray(self.basis2, dtype=complex)
         if b1.shape != (d1, p.shape[0]) or b2.shape != (d2, p.shape[1]):
             raise ValidationError("basis shapes do not match weights and layout")
-        for b in (b1, b2):
-            if not max_abs(dagger(b) @ b - np.eye(b.shape[1])) <= TAU_ORTH:
-                raise ValidationError("knowledge basis is not orthonormal")
+        _check_orthonormal(b1, b2)
         object.__setattr__(self, "p_ab", p)
 
     def realized_density(self) -> DensityMatrix:
@@ -145,11 +159,10 @@ def _weighted_dyads(p: np.ndarray, kets: np.ndarray) -> np.ndarray:
 def build_knowledge_state(p_ab: np.ndarray, dims: tuple[int, int]) -> KnowledgeState:
     """Knowledge state over the computational bases of the two factors."""
     p = np.asarray(p_ab, dtype=float)
-    d1, d2 = int(dims[0]), int(dims[1])
-    if p.shape[0] > d1 or p.shape[1] > d2:
-        raise ValidationError(f"weight shape {p.shape} exceeds dims {dims}")
-    b1 = np.eye(d1, dtype=complex)[:, : p.shape[0]]
-    b2 = np.eye(d2, dtype=complex)[:, : p.shape[1]]
+    d1, d2 = SubsystemLayout((int(dims[0]), int(dims[1]))).factor_dims  # capacity check first
+    na, nb = p.shape if p.ndim == 2 else (0, 0)  # KnowledgeState rejects any other ndim
+    b1 = np.eye(d1, dtype=complex)[:, :na]
+    b2 = np.eye(d2, dtype=complex)[:, :nb]
     return KnowledgeState(p, b1, b2, SubsystemLayout((d1, d2)))
 
 
@@ -157,9 +170,25 @@ def build_knowledge_state(p_ab: np.ndarray, dims: tuple[int, int]) -> KnowledgeS
 # Theta families and xi rotations
 
 
+def _lambda_defect(lam: np.ndarray) -> tuple[np.ndarray | None, tuple[int, str] | None]:
+    """Real coefficients of a stack (N, na, nb, d1, d2) (None if not real), and its first
+    (row, message) that is not real within 1e-12, then orthonormal within TAU_ORTH, or None."""
+    if np.iscomplexobj(lam):
+        imag = np.abs(lam.imag).reshape(len(lam), -1).max(axis=1, initial=0.0)
+        if (i := first_trial(~(imag <= 1e-12))) is not None:
+            return None, (i, "lambda must be real")
+        lam = lam.real
+    lam = np.asarray(lam, dtype=float)
+    n, na, nb, d1, d2 = lam.shape
+    columns = lam.reshape(n, na * nb, d1 * d2).transpose(0, 2, 1)  # theta vectors as columns
+    if (i := first_trial(~(gram_errors(columns) <= TAU_ORTH))) is not None:
+        return lam, (i, "theta family is not orthonormal")
+    return lam, None
+
+
 @dataclass(frozen=True)
 class ThetaFamily:
-    """Orthonormal family |theta_ab> = sum_cd lambda_abcd |c>|d| with real lambda."""
+    """Real orthonormal family |theta_ab> = sum_cd lambda_abcd |c>|d|, checked as select_stack's."""
 
     lam: np.ndarray  # shape (na, nb, d1, d2)
 
@@ -167,19 +196,10 @@ class ThetaFamily:
         lam = np.asarray(self.lam)
         if lam.ndim != 4:
             raise ValidationError("lambda must be a 4-index array")
-        if np.iscomplexobj(lam) and not max_abs(lam.imag) <= 1e-12:
-            raise ValidationError("lambda must be real")
-        lam = np.asarray(lam.real if np.iscomplexobj(lam) else lam, dtype=float)
-        na, nb, d1, d2 = lam.shape
-        flat = lam.reshape(na * nb, d1 * d2)
-        gram = flat @ flat.T
-        if not max_abs(gram - np.eye(na * nb)) <= TAU_ORTH:
-            raise ValidationError("theta family is not orthonormal")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.lam.shape
+        lam, defect = _lambda_defect(lam[None])
+        if defect is not None:
+            raise ValidationError(defect[1])
+        object.__setattr__(self, "lam", lam[0])
 
     def vectors(self, basis1: np.ndarray, basis2: np.ndarray) -> np.ndarray:
         """theta vectors as columns, in (a, b) row-major order."""
@@ -208,24 +228,22 @@ class XiRotation:
         xi = np.asarray(self.xi, dtype=float)
         if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
             raise ValidationError("xi must be a square real matrix")
-        if not max_abs(xi @ xi.T - np.eye(xi.shape[0])) <= TAU_ORTH:
-            raise ValidationError("xi rows are not orthonormal")
+        _check_orthonormal(xi.T, message="xi rows are not orthonormal")
         object.__setattr__(self, "xi", xi)
 
     def nu_projectors(self) -> ProjectorSet:
-        projs = tuple(np.outer(row, row).astype(complex) for row in self.xi)
-        return ProjectorSet(projs)
+        return ProjectorSet.from_basis(self.xi.T)
 
 
 # ---------------------------------------------------------------------------
 # Decoherence
 
 
-def _projector_stack(rho: DensityMatrix, ps: ProjectorSet) -> np.ndarray:
-    """ps as a one-trial stack (1, K, d, d), checked against the state's dim."""
+def _pinched(rho: DensityMatrix, ps: ProjectorSet) -> np.ndarray:
+    """sum_k P_k rho P_k as a one-trial stack (1, d, d), ps checked against the state's dim."""
     if ps.dim != rho.dim:
         raise ValidationError(f"projector dim {ps.dim} != state dim {rho.dim}")
-    return np.array(ps.projectors)[None]
+    return _pinch(rho.mat[None], np.array(ps.projectors)[None])
 
 
 def _pinch(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
@@ -238,7 +256,7 @@ def _pinch(rho: np.ndarray, projs: np.ndarray) -> np.ndarray:
 
 def projective_decoherence(rho: DensityMatrix, ps: ProjectorSet) -> DensityMatrix:
     """sum_c P_c rho P_c: kills coherences between the blocks of ps."""
-    return DensityMatrix(rho.layout, _pinch(rho.mat[None], _projector_stack(rho, ps))[0])
+    return DensityMatrix(rho.layout, _pinched(rho, ps)[0])
 
 
 def _pinching_entropies(
@@ -262,8 +280,7 @@ def entropy_after_decoherence_geq(
 
     The one-trial case of decoherence_margins' linear algebra.
     """
-    mat = rho.mat[None]
-    before, after = _pinching_entropies(mat, _pinch(mat, _projector_stack(rho, ps)))
+    before, after = _pinching_entropies(rho.mat[None], _pinched(rho, ps))
     s_before, s_after = float(before[0]), float(after[0])
     return s_before, s_after, s_after - s_before
 
@@ -297,12 +314,12 @@ def decoherence_margins(seed: int, trials: int) -> np.ndarray:
     """
     margins = np.empty(trials)
     for block in trial_blocks(trials, DECOHERENCE_DIMS[1]):
-        margins[block.start : block.stop] = _decoherence_block(seed, block)
+        _decoherence_block(seed, block, margins)
     return margins
 
 
-def _decoherence_block(seed: int, block: range) -> np.ndarray:
-    """Margins of the trials in `block`, grouped as decoherence_margins describes."""
+def _decoherence_block(seed: int, block: range, margins: np.ndarray) -> None:
+    """margins[t] for the trials t in `block`, grouped as decoherence_margins describes."""
     lo, hi = DECOHERENCE_DIMS
     groups: dict[int, list] = {}
     for t, rng in zip(block, trial_generators(seed, block.start, len(block))):
@@ -313,7 +330,6 @@ def _decoherence_block(seed: int, block: range) -> np.ndarray:
         blocks = random_block_sizes(d, rng)
         h = rng.standard_normal((2, d, d))
         groups.setdefault(d, []).append((len(blocks), t, rank, g, blocks, h))
-    margins = np.empty(len(block))
     for d in sorted(groups):
         rows = sorted(groups.pop(d), key=lambda row: row[0])  # stable: (block count, trial)
         counts, trials, ranks = np.array([row[:3] for row in rows]).T
@@ -332,27 +348,25 @@ def _decoherence_block(seed: int, block: range) -> np.ndarray:
                 check_projector_stack(projs[full], trials[at][full])
             pinched[at] = _pinch(rho[at], projs)
         s_before, s_after = _pinching_entropies(rho, pinched, trials)
-        margins[trials - block.start] = s_after - s_before
-    return margins
+        margins[trials] = s_after - s_before
 
 
-def _canonical_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Eigenbasis with degenerate subspaces fixed by a reference observable.
+def _canonical_eigenbasis(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Eigenbasis of a Hermitian m with degenerate subspaces fixed by a reference observable.
 
     Inside each degenerate eigenspace the basis is rotated to diagonalize
-    diag(0, 1, ..., d-1); returns (eigenvalues, basis columns, degenerate?).
+    diag(0, 1, ..., d-1); returns (basis columns, degenerate?).
     """
-    evals, evecs = hermitian_eigendecomposition(m)
+    evals, vecs = np.linalg.eigh(m)
     ref = np.diag(np.arange(m.shape[0], dtype=float))
     degenerate = False
-    vecs = np.array(evecs, dtype=complex)
     for s in eigenspaces(evals, 1e-9):
         if s.stop - s.start > 1:
             degenerate = True
             w = vecs[:, s]
             _, rot = np.linalg.eigh(dagger(w) @ ref @ w)
             vecs[:, s] = w @ rot
-    return evals, vecs, degenerate
+    return vecs, degenerate
 
 
 @dataclass(frozen=True)
@@ -360,8 +374,6 @@ class FormTestResult:
     is_knowledge_form: bool
     residual: float
     degenerate_marginals: bool
-    basis1: np.ndarray
-    basis2: np.ndarray
 
 
 def knowledge_form_test(rho: DensityMatrix) -> FormTestResult:
@@ -374,16 +386,14 @@ def knowledge_form_test(rho: DensityMatrix) -> FormTestResult:
     """
     if rho.layout.n_factors != 2:
         raise UsageError("knowledge-form test needs a bipartite layout")
-    rho1 = partial_trace(rho, (0,))
-    rho2 = partial_trace(rho, (1,))
-    _, b1, deg1 = _canonical_eigenbasis(rho1.mat)
-    _, b2, deg2 = _canonical_eigenbasis(rho2.mat)
+    b1, deg1 = _canonical_eigenbasis(partial_trace_matrix(rho.mat, rho.layout.factor_dims, (0,)))
+    b2, deg2 = _canonical_eigenbasis(partial_trace_matrix(rho.mat, rho.layout.factor_dims, (1,)))
     # rank-1 product dephasing in the (canonical) marginal eigenbases
     product_basis = np.kron(b1, b2)
     coeffs = dagger(product_basis) @ rho.mat @ product_basis
     dephased = product_basis @ np.diag(np.diag(coeffs)) @ dagger(product_basis)
     residual = max_abs(rho.mat - dephased)
-    return FormTestResult(residual <= 1e-9, residual, deg1 or deg2, b1, b2)
+    return FormTestResult(residual <= 1e-9, residual, deg1 or deg2)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +441,12 @@ def select_stack(
     basis2 (d2, d2) are full orthonormal bases shared by every trial; their
     first na and nb columns are the knowledge bases.
 
-    Each stack is validated once, with the checks and tolerances of
-    KnowledgeState (weights), ThetaFamily (lambda) and DensityMatrix
-    (rho(t1), rho(t2) and the four marginals).  A failure names the
-    first bad trial, numbered by `trials` (default: the stack index).  Every
-    operation acts on each trial alone, so a trial's numbers are those of a
-    one-trial stack.
+    Each stack is validated once, by the one check per concept that
+    KnowledgeState (bases, then weights), ThetaFamily (lambda) and
+    DensityMatrix (rho(t1), rho(t2), the four marginals) also run.  A failure
+    names the first bad trial, numbered by `trials` (default: the stack
+    index).  Every operation acts on each trial alone, so a trial's numbers
+    are those of a one-trial stack.
     """
     p = np.asarray(p, dtype=float)
     lam = np.asarray(lam)
@@ -444,30 +454,18 @@ def select_stack(
         raise ValidationError(
             f"weights {p.shape} and lambda {lam.shape} do not form a trial stack"
         )
-    n, na, nb = p.shape
+    na, nb = p.shape[1:]
     d1, d2 = SubsystemLayout(lam.shape[3:]).factor_dims  # capacity check
     b1 = np.asarray(basis1, dtype=complex)
     b2 = np.asarray(basis2, dtype=complex)
     if b1.shape != (d1, d1) or b2.shape != (d2, d2) or na > d1 or nb > d2:
         raise ValidationError(f"bases {b1.shape}, {b2.shape} do not match lambda {lam.shape}")
-    for b in (b1, b2):
-        if not max_abs(dagger(b) @ b - np.eye(b.shape[1])) <= TAU_ORTH:
-            raise ValidationError("knowledge basis is not orthonormal")
-    if (i := first_trial((p < -1e-12).any(axis=(1, 2)))) is not None:
-        raise ValidationError(f"{trial_name(i, trials)}: weights must form a nonnegative matrix")
-    p = np.clip(p, 0.0, None)
-    total = p.sum(axis=(1, 2))
-    if (i := first_trial(np.abs(total - 1.0) > 1e-10)) is not None:
-        raise ValidationError(f"{trial_name(i, trials)}: weights sum to {total[i]}, expected 1")
-    if np.iscomplexobj(lam):
-        if (i := first_trial(np.abs(lam.imag).max(axis=(1, 2, 3, 4)) > 1e-12)) is not None:
-            raise ValidationError(f"{trial_name(i, trials)}: lambda must be real")
-        lam = lam.real
-    lam = np.asarray(lam, dtype=float)
-    flat = lam.reshape(n, na * nb, d1 * d2)
-    orth = np.abs(flat @ flat.transpose(0, 2, 1) - np.eye(na * nb)).max(axis=(1, 2))
-    if (i := first_trial(orth > TAU_ORTH)) is not None:
-        raise ValidationError(f"{trial_name(i, trials)}: theta family is not orthonormal")
+    _check_orthonormal(b1, b2)
+    p, defect = _weights_defect(p)
+    if defect is None:
+        lam, defect = _lambda_defect(lam)
+    if defect is not None:
+        raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
 
     rho_t1 = _weighted_dyads(p, _product_kets(b1, b2, na, nb)[None])
     rho_t2 = _weighted_dyads(p, _theta_kets(lam, b1, b2))
@@ -496,14 +494,8 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
     residual between that and the partial trace.  Global entropy is
     unchanged because the weights are carried onto an orthonormal family.
     """
-    na, nb = ks.p_ab.shape
-    tna, tnb, d1, d2 = theta.shape
-    if (tna, tnb) != (na, nb) or (d1, d2) != ks.layout.factor_dims:
-        raise ValidationError(
-            f"theta shape {theta.shape} incompatible with weights {ks.p_ab.shape} "
-            f"and layout {ks.layout.factor_dims}"
-        )
-    # theta vectors need full marginal bases; extend the knowledge bases
+    d1, d2 = ks.layout.factor_dims
+    # full bases for the theta vectors; select_stack checks theta against them and the weights
     b1 = _complete_basis(ks.basis1, d1)
     b2 = _complete_basis(ks.basis2, d2)
     sel = select_stack(ks.p_ab[None], theta.lam[None], b1, b2)
@@ -545,19 +537,24 @@ def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=N
     built from normals[n], trial n's standard-normal (d, d) draw, so epsilon
     is a severity dial: a scalar shared by every trial, or one value per
     trial, shape (N,).  A trial with epsilon_n = 0 gets the ideal family and
-    its normals are never read (it need draw nothing).  Returns the lambda
-    stack (N, d1, d2, d1, d2); the matrix exponentials of the epsilon_n > 0
-    trials are one stacked expm.  A zero generator names its trial,
-    numbered by `trials` (default: the stack index).
+    its normals are never read.  Returns the lambda stack (N, d1, d2, d1,
+    d2); the epsilon_n > 0 trials take one stacked expm.  Non-finite normals,
+    a zero generator or a non-finite rotation name their trial, numbered by
+    `trials` (default: the stack index).
     """
-    eps = np.broadcast_to(np.asarray(epsilon, dtype=float), (len(normals),))
-    if not (np.isfinite(eps) & (eps >= 0)).all():
-        raise UsageError(f"epsilon must be finite and >= 0, got {epsilon}")
     d1, d2 = int(dims[0]), int(dims[1])
     d = d1 * d2
-    r = np.empty((len(normals), d, d))
-    r[:] = ThetaFamily.ideal((d1, d2)).lam.reshape(d, d)
+    normals = np.asarray(normals)
+    eps = np.asarray(epsilon, dtype=float)
+    if normals.ndim != 3 or normals.shape[1:] != (d, d) or eps.shape not in ((), normals.shape[:1]):
+        raise ValidationError(f"normals {normals.shape} and epsilon {eps.shape} form no trial stack")
+    eps = np.broadcast_to(eps, normals.shape[:1])
+    if not (np.isfinite(eps) & (eps >= 0)).all():
+        raise UsageError(f"epsilon must be finite and >= 0, got {epsilon}")
+    r = np.tile(ThetaFamily.ideal((d1, d2)).lam.reshape(d, d), (len(normals), 1, 1))
     if (on := np.flatnonzero(eps > 0)).size:
+        if (i := first_trial(~np.isfinite(normals[on]).all(axis=(1, 2)))) is not None:
+            raise ValidationError(f"{trial_name(on[i], trials)}: normals are not finite")
         g = normals[on] - normals[on].transpose(0, 2, 1)
         norm = np.linalg.norm(g, 2, axis=(1, 2))
         if (i := first_trial(norm == 0)) is not None:
@@ -566,6 +563,8 @@ def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=N
         import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
 
         r[on] = scipy.linalg.expm(eps[on, None, None] * g)
+        if (i := first_trial(~np.isfinite(r[on]).all(axis=(1, 2)))) is not None:
+            raise ValidationError(f"{trial_name(on[i], trials)}: rotation exp(epsilon G) is not finite")
     # column (a*d2 + b) of r_n is theta_ab in the computational product basis
     return r.transpose(0, 2, 1).reshape(-1, d1, d2, d1, d2)
 

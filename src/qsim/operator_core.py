@@ -147,12 +147,20 @@ class DensityMatrix:
 
     @staticmethod
     def pure(ket: np.ndarray, layout: SubsystemLayout | None = None) -> "DensityMatrix":
-        ket = np.asarray(ket, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(ket)
-        if nrm == 0:
-            raise ValidationError("cannot normalize the zero vector")
-        ket = ket / nrm
+        ket = unit_ket(ket, "ket", None if layout is None else layout.total_dim)
         return DensityMatrix.from_matrix(np.outer(ket, ket.conj()), layout)
+
+
+def unit_ket(ket: np.ndarray, name: str = "ket", dim: int | None = None) -> np.ndarray:
+    """ket / ||ket|| as a 1-D complex vector, of length dim when given; a ket that is not
+    finite, or whose norm is zero or under- or overflows, is rejected by name."""
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    if dim is not None and v.size != dim:
+        raise ValidationError(f"{name} has length {v.size}, expected {dim}")
+    nrm = np.linalg.norm(v) if np.isfinite(v).all() else math.nan
+    if not 0 < nrm < math.inf:
+        raise ValidationError(f"{name} must be a finite nonzero vector")
+    return v / nrm
 
 
 def first_trial(flags: np.ndarray) -> int | None:
@@ -183,8 +191,8 @@ def _finite_stack(mats: np.ndarray, name: str, shape: str, trials) -> np.ndarray
 
 
 def _max_abs_rows(m: np.ndarray) -> np.ndarray:
-    """max |entry| of each matrix in a stack (..., d, d)."""
-    return np.abs(m).max(axis=(-2, -1))
+    """max |entry| of each matrix in a stack (..., d, d): 0 if it is empty, NaN if an entry is."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def _density_defect(m: np.ndarray, name: str) -> tuple[np.ndarray | None, tuple[int, str] | None]:
@@ -228,7 +236,8 @@ def check_density_stack(
 
 def gram_errors(q: np.ndarray) -> np.ndarray:
     """max|Q-dagger Q - I| of a matrix (d, n) or of each in a stack (N, d, n); NaN if not finite."""
-    return _max_abs_rows(dagger(q) @ q - np.eye(q.shape[-1]))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 gives NaN, not a warning
+        return _max_abs_rows(dagger(q) @ q - np.eye(q.shape[-1]))
 
 
 def orthonormal_columns(q: np.ndarray, errors: np.ndarray | None = None) -> np.ndarray:
@@ -651,8 +660,7 @@ def random_projector_set(
 
 
 def random_pure_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = ginibre(dim, rng)
-    return v / np.linalg.norm(v)
+    return unit_ket(ginibre(dim, rng), "random ket")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ from .rng import substream, trial_generators
 
 MAX_SEED = 2**64 - 1  # seeds are 64-bit; larger ones would alias smaller ones
 MAX_REAL = sys.float_info.max
+# the qubit kets |0>, |1>, |+> and |->
+ZERO, ONE = np.eye(2, dtype=complex)
+PLUS, MINUS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def fmt(x: float) -> str:
@@ -172,9 +175,7 @@ def _scenario_copy_demo(cfg: ScenarioConfig, trials_override: int | None):
 
 def _scenario_decoherence_demo(cfg: ScenarioConfig, trials_override: int | None):
     ci = hf.cnot_interaction()
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    zero = np.array([1, 0], dtype=complex)
-    rho0 = oc.DensityMatrix.pure(np.kron(plus, zero), ci.layout)
+    rho0 = oc.DensityMatrix.pure(np.kron(PLUS, ZERO), ci.layout)
     bd = hf.branch_decomposition(rho0, ci)
     margins = ke.decoherence_margins(cfg.seed, cfg.trials).tolist()
     results = {
@@ -195,10 +196,8 @@ def _scenario_decoherence_demo(cfg: ScenarioConfig, trials_override: int | None)
 
 def _worked_qubit_example():
     """rho_v = |0><0| with payoff observable (|0>+|1>)(<0|+<1|)/2."""
-    v = dp.RelativeState.from_ket(np.array([1, 0], dtype=complex))
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-    ps = oc.ProjectorSet.from_basis(np.column_stack([plus, minus]), labels=("+", "-"))
+    v = dp.RelativeState.from_ket(ZERO)
+    ps = oc.ProjectorSet.from_basis(np.column_stack([PLUS, MINUS]), labels=("+", "-"))
     a = dp.PayoffObservable((1.0, 0.0), ps)
     return v, a
 
@@ -228,10 +227,7 @@ def _scenario_payoff_demo(cfg: ScenarioConfig, trials_override: int | None):
 
 def _scenario_no_cloning(cfg: ScenarioConfig, trials_override: int | None):
     ci = hf.cnot_interaction()
-    zero = np.array([1, 0], dtype=complex)
-    one = np.array([0, 1], dtype=complex)
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    fids = hf.no_cloning_demo([zero, one, plus], ci, blank=zero)
+    fids = hf.no_cloning_demo([ZERO, ONE, PLUS], ci, blank=ZERO)
     names = ["|0>", "|1>", "|+>"]
     results = {
         "copier": "cnot",

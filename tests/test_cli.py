@@ -165,7 +165,7 @@ class TestExitCodes:
         code, out, err = run_cli(["second-law", "--epsilon", "1e308"], capsys, monkeypatch)
         assert code == 4
         assert out == ""
-        assert err == "qsim: numerical error: trial 0: rho(t2) contains non-finite entries\n"
+        assert err == "qsim: numerical error: trial 0: rotation exp(epsilon G) is not finite\n"
 
     def test_copy_analysis_failure_is_exit_4(self, capsys, monkeypatch):
         monkeypatch.setattr(hf, "s1_drift", lambda u, ops: np.ones_like(ops))

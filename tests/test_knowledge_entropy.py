@@ -742,3 +742,181 @@ class TestStackedSelection:
             ke.perturbed_lams((2, 2), eps, substream(48, 0).standard_normal((1, 4, 4)))
         with pytest.raises(UsageError):
             ke.perturb_selection((2, 2), eps, substream(48, 0))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                lambda p, lam: p.__setitem__((3, 1, 1), np.nan),
+                "weights must form a nonnegative matrix",
+            ),
+            (
+                lambda p, lam: lam.__setitem__((3, 1, 0, 0, 1), np.nan),
+                "theta family is not orthonormal",
+            ),
+        ],
+        ids=["nan-weight", "nan-lambda"],
+    )
+    def test_nan_input_is_blamed_for_itself(self, corrupt, message):
+        # not on rho(t1) or rho(t2), which a NaN input would make non-finite
+        p, lam = stack_inputs(45, 6, (2, 2), 0.2)
+        lam = np.array(lam)
+        corrupt(p, lam)
+        with pytest.raises(ValidationError, match=rf"^trial 3: {message}$"):
+            ke.select_stack(p, lam, *eye_bases((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_normals_name_their_trial(self, bad):
+        # read only at an epsilon > 0 trial, and rejected before the SVD of the generator
+        normals = substream(51, 0).standard_normal((3, 4, 4))
+        normals[0, 0, 0] = normals[2, 1, 3] = bad
+        with pytest.raises(ValidationError, match=r"^trial 9: normals are not finite$"):
+            ke.perturbed_lams((2, 2), np.array([0.0, 0.1, 0.2]), normals, trials=[7, 8, 9])
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4), (3, 4, 5), (4,)])
+    def test_normals_must_be_a_stack_of_d_by_d(self, shape):
+        with pytest.raises(ValidationError, match=r"form no trial stack$"):
+            ke.perturbed_lams((2, 2), 0.2, np.ones(shape))
+
+    def test_overflowing_rotation_names_its_trial(self):
+        normals = substream(52, 0).standard_normal((2, 4, 4))
+        message = r"^trial 1: rotation exp\(epsilon G\) is not finite$"
+        with pytest.raises(ValidationError, match=message):
+            ke.perturbed_lams((2, 2), np.array([0.5, 1e308]), normals)
+
+
+class TestBuildKnowledgeState:
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], 1.0, [[[1.0]]]])
+    def test_weights_that_are_not_a_matrix_rejected(self, weights):
+        with pytest.raises(ValidationError, match=r"^weights must form a nonnegative matrix$"):
+            ke.build_knowledge_state(np.array(weights), (2, 2))
+
+    def test_weights_beyond_dims_rejected(self):
+        with pytest.raises(ValidationError, match=r"^basis shapes do not match weights and layout$"):
+            ke.build_knowledge_state(np.full((1, 3), 1 / 3), (2, 2))
+
+    def test_capacity_checked_before_bases_are_built(self):
+        # a (2**40, 2**40) identity basis built first would fail as numpy's ValueError
+        with pytest.raises(CapacityError):
+            ke.build_knowledge_state(np.ones((1, 1)), (2, 2**40))
+
+
+# The inline checks that KnowledgeState, ThetaFamily, XiRotation and select_stack
+# each ran before they shared one function per concept: the oracle of the agreement
+# tests below.  Each returns the first failing message, or None.
+
+
+def old_weights_message(p):
+    if p.ndim != 2 or not np.all(p >= -1e-12):
+        return "weights must form a nonnegative matrix"
+    p = np.clip(p, 0.0, None)
+    if not abs(p.sum() - 1.0) <= 1e-10:
+        return f"weights sum to {p.sum()}, expected 1"
+    return None
+
+
+def old_basis_message(b):
+    if not oc.max_abs(oc.dagger(b) @ b - np.eye(b.shape[1])) <= oc.TAU_ORTH:
+        return "knowledge basis is not orthonormal"
+    return None
+
+
+def old_theta_message(lam):
+    if np.iscomplexobj(lam) and not oc.max_abs(lam.imag) <= 1e-12:
+        return "lambda must be real"
+    lam = np.asarray(lam.real if np.iscomplexobj(lam) else lam, dtype=float)
+    na, nb, d1, d2 = lam.shape
+    flat = lam.reshape(na * nb, d1 * d2)
+    if not oc.max_abs(flat @ flat.T - np.eye(na * nb)) <= oc.TAU_ORTH:
+        return "theta family is not orthonormal"
+    return None
+
+
+def old_xi_message(xi):
+    if not oc.max_abs(xi @ xi.T - np.eye(xi.shape[0])) <= oc.TAU_ORTH:
+        return "xi rows are not orthonormal"
+    return None
+
+
+def old_select_stack_message(p, lam, b1, b2):
+    """select_stack's checks before any state: bases, then weights and lambda per trial."""
+    for b in (b1, b2):
+        if (message := old_basis_message(b)) is not None:
+            return message
+    n = len(p)
+    if (i := oc.first_trial((p < -1e-12).any(axis=(1, 2)))) is not None:
+        return f"trial {i}: weights must form a nonnegative matrix"
+    total = np.clip(p, 0.0, None).sum(axis=(1, 2))
+    if (i := oc.first_trial(np.abs(total - 1.0) > 1e-10)) is not None:
+        return f"trial {i}: weights sum to {total[i]}, expected 1"
+    if np.iscomplexobj(lam):
+        if (i := oc.first_trial(np.abs(lam.imag).max(axis=(1, 2, 3, 4)) > 1e-12)) is not None:
+            return f"trial {i}: lambda must be real"
+    flat = np.asarray(lam.real, dtype=float).reshape(n, 4, 4)
+    orth = np.abs(flat @ flat.transpose(0, 2, 1) - np.eye(4)).max(axis=(1, 2))
+    if (i := oc.first_trial(orth > oc.TAU_ORTH)) is not None:
+        return f"trial {i}: theta family is not orthonormal"
+    return None
+
+
+def new_message(make):
+    try:
+        make()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+DELTAS = [-1e-13, -1e-15, 0.0, 1e-15, 1e-13]
+
+
+def near_miss_inputs():
+    """(name, weights (2, 2), lambda (2, 2, 2, 2), basis (2, 2), xi (2, 2)) at each near miss.
+
+    Entry (0, 1) of a Gram matrix of an identity with e in one off-diagonal
+    slot is e, so e = TAU_ORTH + delta puts the Gram error at the bound + delta.
+    """
+    ideal = np.eye(4).reshape(2, 2, 2, 2)
+    for delta in DELTAS:
+        for edge, where in [(-1e-12, "weight"), (1e-10, "sum"), (-1e-10, "sum"), (1e-12, "imag")]:
+            p = np.full((2, 2), 0.25)
+            lam = ideal.astype(complex)
+            if where == "weight":
+                p[0, 0], p[1, 1] = edge + delta, 0.5 - (edge + delta)
+            elif where == "sum":
+                p[0, 0] += edge + delta
+            else:
+                lam[1, 0, 0, 1] += 1j * (edge + delta)
+            yield f"{where}{edge:+g}{delta:+g}", p, lam, np.eye(2, dtype=complex), np.eye(2)
+        e = oc.TAU_ORTH + delta
+        lam, basis, xi = ideal.copy(), np.eye(2, dtype=complex), np.eye(2)
+        lam[0, 0, 0, 1], basis[0, 1], xi[1, 0] = e, e, e
+        yield f"gram{delta:+g}", np.full((2, 2), 0.25), lam, basis, xi
+
+
+NEAR_MISSES = list(near_miss_inputs())
+
+
+class TestOneCheckPerConcept:
+    """Same accept/reject and message as the inline checks, at every near miss."""
+
+    @pytest.mark.parametrize("name, p, lam, basis, xi", NEAR_MISSES, ids=[c[0] for c in NEAR_MISSES])
+    def test_one_object_checks_agree(self, name, p, lam, basis, xi):
+        layout = oc.SubsystemLayout((2, 2))
+        old = old_weights_message(p) or old_basis_message(basis)
+        assert new_message(lambda: ke.KnowledgeState(p, basis, np.eye(2), layout)) == old
+        assert new_message(lambda: ke.ThetaFamily(lam)) == old_theta_message(lam)
+        assert new_message(lambda: ke.XiRotation(xi)) == old_xi_message(xi)
+
+    @pytest.mark.parametrize("name, p, lam, basis, xi", NEAR_MISSES, ids=[c[0] for c in NEAR_MISSES])
+    def test_select_stack_agrees(self, name, p, lam, basis, xi):
+        # the near miss sits in trial 2 of 4; the other trials are ideal
+        ps = np.repeat(np.full((1, 2, 2), 0.25), 4, axis=0)
+        lams = np.repeat(np.eye(4).reshape(1, 2, 2, 2, 2), 4, axis=0).astype(lam.dtype)
+        ps[2], lams[2] = p, lam
+        old = old_select_stack_message(ps, lams, basis, np.eye(2))
+        new = new_message(lambda: ke.select_stack(ps, lams, basis, np.eye(2)))
+        if old is not None:
+            assert new == old
+        else:  # only DensityMatrix's checks of the states, unchanged, may still reject
+            assert new is None or new.startswith("trial 2: rho")
