@@ -128,7 +128,8 @@ class KnowledgeState:
         if b1.shape != (d1, p.shape[0]) or b2.shape != (d2, p.shape[1]):
             raise ValidationError("basis shapes do not match weights and layout")
         _check_orthonormal(b1, b2)
-        object.__setattr__(self, "p_ab", p)
+        for name, value in (("p_ab", p), ("basis1", b1), ("basis2", b2)):
+            object.__setattr__(self, name, value)
 
     def realized_density(self) -> DensityMatrix:
         kets = _product_kets(self.basis1, self.basis2, *self.p_ab.shape)
@@ -530,6 +531,51 @@ def _complete_basis(partial: np.ndarray, dim: int) -> np.ndarray:
     return np.column_stack([partial, np.linalg.svd(partial)[0][:, partial.shape[1] :]])
 
 
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of a real (N, n, n) stack, bit for bit, in one kernel loop.
+
+    A slice with nonzero entries in both strict triangles runs scipy's own
+    generic branch (scaling and squaring, Al-Mohy & Higham 2009): its private
+    Pade kernels pick_pade_structure and pade_UV_calc on that slice's (5, n, n)
+    scratch, then its s squarings, batched over the slices that still need
+    one.  That skips expm's per-slice bandwidth call, whose batch wrapper costs
+    more than the kernels at n = 4.  Slices with a zero strict triangle take
+    scipy's diagonal and triangular branches through scipy.linalg.expm itself,
+    and so does the whole stack when scipy lacks the two-argument kernel
+    form.  Scratch is the stack in chunks of max(1, N // 5) slices: no larger
+    than the stack, or than scipy's own (5, n, n).
+    """
+    import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
+
+    kernels = getattr(scipy.linalg, "_matfuncs_expm", None)
+    pade = getattr(kernels, "pade_UV_calc", None)
+    if pade.__doc__ != "info = pade_UV_calc(Am, m)":  # scipy 1.17's documented form; None fails too
+        return scipy.linalg.expm(a)
+    generic = (np.tril(a, -1) != 0).any(axis=(1, 2)) & (np.triu(a, 1) != 0).any(axis=(1, 2))
+    out = np.empty_like(a)
+    if not generic.all():
+        out[~generic] = scipy.linalg.expm(a[~generic])
+    rows, n = np.flatnonzero(generic), a.shape[-1]
+    step = max(1, len(a) // 5)
+    for chunk in (rows[i : i + step] for i in range(0, len(rows), step)):
+        am = np.empty((len(chunk), 5, n, n), dtype=a.dtype)
+        am[:, 0] = a[chunk]
+        squarings = np.empty(len(chunk), dtype=int)
+        for j, scratch in enumerate(am):  # scratch[0] ends as the (scaled) Pade approximant
+            m, squarings[j] = kernels.pick_pade_structure(scratch)
+            if m < 0:
+                raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
+            if (info := pade(scratch, m)) != 0:  # as scipy: <= -11 is a failed malloc
+                kind = MemoryError if info <= -11 else RuntimeError
+                raise kind(f"expm Pade kernel failed (error code {info})")
+        e = am[:, 0]
+        for k in range(squarings.max()):
+            sq = np.flatnonzero(squarings > k)
+            e[sq] = e[sq] @ e[sq]
+        out[chunk] = e
+    return out
+
+
 def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=None) -> np.ndarray:
     """Imperfect selections: the ideal family rotated by exp(epsilon_n * G_n).
 
@@ -538,9 +584,9 @@ def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=N
     is a severity dial: a scalar shared by every trial, or one value per
     trial, shape (N,).  A trial with epsilon_n = 0 gets the ideal family and
     its normals are never read.  Returns the lambda stack (N, d1, d2, d1,
-    d2); the epsilon_n > 0 trials take one stacked expm.  Non-finite normals,
-    a zero generator or a non-finite rotation name their trial, numbered by
-    `trials` (default: the stack index).
+    d2); the epsilon_n > 0 trials take one _expm_stack.  Normals that are not
+    finite or overflow G, a zero generator or a non-finite rotation name their
+    trial, numbered by `trials` (default: the stack index).
     """
     d1, d2 = int(dims[0]), int(dims[1])
     d = d1 * d2
@@ -555,14 +601,16 @@ def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=N
     if (on := np.flatnonzero(eps > 0)).size:
         if (i := first_trial(~np.isfinite(normals[on]).all(axis=(1, 2)))) is not None:
             raise ValidationError(f"{trial_name(on[i], trials)}: normals are not finite")
-        g = normals[on] - normals[on].transpose(0, 2, 1)
-        norm = np.linalg.norm(g, 2, axis=(1, 2))
+        with np.errstate(over="ignore"):  # normals near +-1e308 overflow G: blamed on them below
+            g = normals[on] - normals[on].transpose(0, 2, 1)
+        if (i := first_trial(~np.isfinite(g).all(axis=(1, 2)))) is None:
+            norm = np.linalg.norm(g, 2, axis=(1, 2))  # finite G, yet its norm may overflow
+            i = first_trial(norm == math.inf)
+        if i is not None:
+            raise ValidationError(f"{trial_name(on[i], trials)}: normals overflow the rotation generator")
         if (i := first_trial(norm == 0)) is not None:
             raise ValidationError(f"{trial_name(on[i], trials)}: rotation generator is zero")
-        g = g / norm[:, None, None]
-        import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
-
-        r[on] = scipy.linalg.expm(eps[on, None, None] * g)
+        r[on] = _expm_stack(eps[on, None, None] * (g / norm[:, None, None]))
         if (i := first_trial(~np.isfinite(r[on]).all(axis=(1, 2)))) is not None:
             raise ValidationError(f"{trial_name(on[i], trials)}: rotation exp(epsilon G) is not finite")
     # column (a*d2 + b) of r_n is theta_ab in the computational product basis

@@ -157,7 +157,8 @@ def unit_ket(ket: np.ndarray, name: str = "ket", dim: int | None = None) -> np.n
     v = np.asarray(ket, dtype=complex).reshape(-1)
     if dim is not None and v.size != dim:
         raise ValidationError(f"{name} has length {v.size}, expected {dim}")
-    nrm = np.linalg.norm(v) if np.isfinite(v).all() else math.nan
+    with np.errstate(over="ignore"):  # a norm that overflows is rejected below
+        nrm = np.linalg.norm(v) if np.isfinite(v).all() else math.nan
     if not 0 < nrm < math.inf:
         raise ValidationError(f"{name} must be a finite nonzero vector")
     return v / nrm

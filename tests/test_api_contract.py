@@ -1,6 +1,6 @@
 """Python-API contract for bad inputs, in the spirit of test_cli_contract.py.
 
-NaN, inf, zero and wrong-length inputs to the selection layer and to every
+NaN, inf, zero, overflowing and wrong-length inputs to the selection layer and to every
 entry point that normalises a ket must raise a QsimError whose message
 names the bad input: never numpy's LinAlgError or ValueError, and never a
 warning.
@@ -18,7 +18,13 @@ from qsim.errors import QsimError
 N, DIMS = 3, (2, 2)
 IDEAL = ke.perturbed_lams(DIMS, 0.0, np.empty((N, 4, 4)))
 EYE = np.eye(2, dtype=complex)
-KETS = {"nan": [np.nan, 1.0], "inf": [1.0, np.inf], "zero": [0.0, 0.0], "length": [1.0, 0.0, 0.0]}
+KETS = {
+    "nan": [np.nan, 1.0],
+    "inf": [1.0, np.inf],
+    "zero": [0.0, 0.0],
+    "huge": [1e200, 1e200],  # finite, but its norm overflows
+    "length": [1.0, 0.0, 0.0],
+}
 
 
 def spoil(x, value, at):
@@ -64,6 +70,10 @@ CASES = [
      r"^trial 1: normals are not finite$"),
     ("perturb-normals-inf", normals_case(spoil(NORMALS, np.inf, (1, 2, 2))),
      r"^trial 1: normals are not finite$"),
+    ("perturb-normals-huge", normals_case(spoil(spoil(NORMALS, 1e308, (1, 0, 3)), -1e308, (1, 3, 0))),
+     r"^trial 1: normals overflow the rotation generator$"),  # n - n^T overflows
+    ("perturb-normals-huge-norm", normals_case(spoil(NORMALS, np.triu(np.full((4, 4), 1e308), 1), 1)),
+     r"^trial 1: normals overflow the rotation generator$"),  # G is finite, its norm is not
     ("perturb-normals-zero", normals_case(np.zeros((N, 4, 4))),
      r"^trial 0: rotation generator is zero$"),
     ("perturb-normals-length", normals_case(np.ones((N, 3, 3))), r"^normals \(3, 3, 3\) and "),

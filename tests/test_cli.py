@@ -530,19 +530,22 @@ class TestDeterminism:
 
     def test_second_law_sweep_is_one_stack(self, monkeypatch):
         # one select_stack for the 400 trials (then the one-trial counterexample)
-        # and one expm for the 300 with epsilon > 0
+        # and one _expm_stack for the 300 with epsilon > 0, whose dense
+        # generators all run scipy's Pade kernels without scipy.linalg.expm
         import scipy.linalg
 
-        stacks, expms = [], []
-        select_stack, expm = ke.select_stack, scipy.linalg.expm
+        stacks, rotations, expms = [], [], []
+        select_stack, expm_stack, expm = ke.select_stack, ke._expm_stack, scipy.linalg.expm
         monkeypatch.setattr(
             ke, "select_stack", lambda p, *a, **kw: stacks.append(len(p)) or select_stack(p, *a, **kw)
         )
+        monkeypatch.setattr(ke, "_expm_stack", lambda a: rotations.append(a.shape) or expm_stack(a))
         monkeypatch.setattr(scipy.linalg, "expm", lambda a: expms.append(a.shape) or expm(a))
         cfg = ScenarioConfig("second-law", trials=100, epsilon_sweep=(0.0, 0.05, 0.1, 0.2))
         assert run_scenario(cfg).exit_code == 0
         assert stacks == [400, 1]
-        assert expms == [(300, 4, 4)]
+        assert rotations == [(300, 4, 4)]
+        assert expms == []
 
 
 class TestGoldenCsv:

@@ -192,6 +192,18 @@ class TestKnowledgeState:
         with pytest.raises(ValidationError, match=message):
             ke.KnowledgeState(parts["weights"], parts["basis1"], parts["basis2"], ks.layout)
 
+    def test_list_bases_are_stored_as_the_checked_arrays(self):
+        # nested lists pass the checks, so they must also work downstream
+        ks = ke.build_knowledge_state(np.diag([0.5, 0.5]), (2, 2))
+        listed = ke.KnowledgeState(ks.p_ab, ks.basis1.tolist(), ks.basis2.tolist(), ks.layout)
+        assert listed.basis1.tobytes() == ks.basis1.tobytes()
+        assert listed.realized_density().mat.tobytes() == ks.realized_density().mat.tobytes()
+        theta = ke.perturb_selection((2, 2), 0.2, substream(41, 13))
+        want = ke.apply_selection_process(ks, theta)
+        got = ke.apply_selection_process(listed, theta)
+        assert got.rho_t2.mat.tobytes() == want.rho_t2.mat.tobytes()
+        assert (got.ds1, got.ds2) == (want.ds1, want.ds2)
+
 
 class TestKnowledgeFormTest:
     def test_built_states_certified(self):
@@ -783,6 +795,79 @@ class TestStackedSelection:
         message = r"^trial 1: rotation exp\(epsilon G\) is not finite$"
         with pytest.raises(ValidationError, match=message):
             ke.perturbed_lams((2, 2), np.array([0.5, 1e308]), normals)
+
+
+def unit_generators(seed, n, d):
+    """n random real antisymmetric (d, d) generators of unit spectral norm, as perturbed_lams builds them."""
+    normals = substream(seed, 0).standard_normal((n, d, d))
+    g = normals - normals.transpose(0, 2, 1)
+    return g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+
+
+class TestExpmStack:
+    """_expm_stack equals scipy.linalg.expm byte for byte, on every route."""
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        """The shapes scipy.linalg.expm is called with from here on."""
+        import scipy.linalg
+
+        calls, expm = [], scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+        return calls
+
+    @pytest.mark.parametrize("d", [4, 6, 9, 16, 64])
+    def test_dense_stack_is_scipy_bit_for_bit(self, d, expm_calls):
+        import scipy.linalg
+
+        # from a subnormal epsilon (no scaling) to 1e3: 10 squarings at d = 64, and at
+        # d = 4 one stack whose slices need 8, 9 and 8
+        g = unit_generators(60 + d, 3, d)
+        for eps in [5e-324, 1e-300, 0.02, 0.3, 5.0, 50.0, 1e3]:
+            want = scipy.linalg.expm(eps * g)
+            expm_calls.clear()
+            assert ke._expm_stack(eps * g).tobytes() == want.tobytes(), f"epsilon {eps}"
+            if eps > 5e-324:  # where entries of eps * G round to 0, scipy's branches may take a slice
+                assert expm_calls == [], f"epsilon {eps}"
+
+    def test_diagonal_and_triangular_slices_take_scipy_branches(self, expm_calls):
+        import scipy.linalg
+
+        dense = 50.0 * unit_generators(70, 2, 4)
+        tri = substream(71, 0).standard_normal((4, 4))
+        others = [np.diag([0.5, -1.0, 2.0, 3.0]), 30.0 * np.triu(tri), 30.0 * np.tril(tri), np.zeros((4, 4))]
+        a = np.stack([dense[0], *others[:2], dense[1], *others[2:]])
+        want = scipy.linalg.expm(a)
+        expm_calls.clear()
+        assert ke._expm_stack(a).tobytes() == want.tobytes()
+        assert expm_calls == [(4, 4, 4)]  # only the four slices with a zero strict triangle
+
+    @pytest.mark.parametrize("scipy_kernels", ["missing", "older-signature"])
+    def test_without_the_two_argument_kernels_scipy_takes_the_stack(
+        self, scipy_kernels, monkeypatch, expm_calls
+    ):
+        import scipy.linalg
+
+        a = 0.3 * unit_generators(72, 5, 4)
+        want = scipy.linalg.expm(a)
+        expm_calls.clear()
+        if scipy_kernels == "missing":
+            monkeypatch.delattr(scipy.linalg, "_matfuncs_expm")
+        else:
+            monkeypatch.setattr(scipy.linalg._matfuncs_expm, "pade_UV_calc", lambda am, n, m: None)
+        assert ke._expm_stack(a).tobytes() == want.tobytes()
+        assert expm_calls == [(5, 4, 4)]
+
+    def test_a_failed_kernel_raises(self, monkeypatch):
+        import scipy.linalg
+
+        def failing(am, m):
+            return -1
+
+        failing.__doc__ = "info = pade_UV_calc(Am, m)"
+        monkeypatch.setattr(scipy.linalg._matfuncs_expm, "pade_UV_calc", failing)
+        with pytest.raises(RuntimeError, match=r"^expm Pade kernel failed \(error code -1\)$"):
+            ke._expm_stack(0.3 * unit_generators(73, 2, 4))
 
 
 class TestBuildKnowledgeState:
