@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one per process: main() parses with it on every call
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="qsim",

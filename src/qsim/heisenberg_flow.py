@@ -101,6 +101,8 @@ class CopyInteraction:
                 f"phase matrix shape {phases.shape} != projector counts "
                 f"({len(self.proj1)}, {len(self.proj2)})"
             )
+        if not np.isfinite(phases).all():
+            raise ValidationError("phase matrix contains non-finite entries")
         phases = phases.copy()
         phases.setflags(write=False)
         object.__setattr__(self, "phases", phases)
@@ -124,10 +126,12 @@ def build_copy_unitary(
     """Assemble the product-of-projectors interaction unitary.
 
     The global phase gauge is fixed by shifting all phases so phi[0, 0] = 0;
-    CopyInteraction checks the shape of the phase matrix.
+    CopyInteraction checks the shape of the phase matrix and that it is finite.
     """
     phases = np.asarray(phases, dtype=float)
-    return CopyInteraction(phases - (phases.flat[0] if phases.size else 0.0), p1, p2)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which CopyInteraction rejects
+        shifted = phases - (phases.flat[0] if phases.size else 0.0)
+    return CopyInteraction(shifted, p1, p2)
 
 
 def cnot_interaction() -> CopyInteraction:

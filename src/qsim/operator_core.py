@@ -28,6 +28,9 @@ TAU_ORTH = 1e-9
 
 MAX_TOTAL_DIM = 64
 
+# sqrt of the smallest normal double: a smaller ket norm has a subnormal square
+MIN_KET_NORM = math.sqrt(np.finfo(float).tiny)
+
 # Trial stacks run in blocks whose (N, d, d) arrays hold at most this many
 # matrix entries, so their memory does not grow with the trial count.
 STACK_ELEMENTS = 2**20
@@ -153,13 +156,14 @@ class DensityMatrix:
 
 def unit_ket(ket: np.ndarray, name: str = "ket", dim: int | None = None) -> np.ndarray:
     """ket / ||ket|| as a 1-D complex vector, of length dim when given; a ket that is not
-    finite, or whose norm is zero or under- or overflows, is rejected by name."""
+    finite, or whose norm is zero or under- or overflows, is rejected by name.  A norm
+    below MIN_KET_NORM counts as underflow: its square is subnormal, and loses bits."""
     v = np.asarray(ket, dtype=complex).reshape(-1)
     if dim is not None and v.size != dim:
         raise ValidationError(f"{name} has length {v.size}, expected {dim}")
     with np.errstate(over="ignore"):  # a norm that overflows is rejected below
         nrm = np.linalg.norm(v) if np.isfinite(v).all() else math.nan
-    if not 0 < nrm < math.inf:
+    if not MIN_KET_NORM <= nrm < math.inf:
         raise ValidationError(f"{name} must be a finite nonzero vector")
     return v / nrm
 
@@ -366,8 +370,11 @@ class ProjectorSet:
             if q.shape[0] == q.shape[1] and orthonormal_columns(q):  # false for non-finite q
                 basis, mats = (_freeze(q), sizes), sizes
             else:
-                basis, mats = None, block_projectors(q[None], [sizes])[0]
+                with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+                    basis, mats = None, block_projectors(q[None], [sizes])[0]
                 if not np.isfinite(mats).all():
+                    if np.isfinite(q).all():
+                        raise ValidationError(f"range basis {q.shape} overflows its projectors")
                     raise ValidationError("projector contains non-finite entries")
         if not len(mats):
             raise ValidationError("projector set must be nonempty")

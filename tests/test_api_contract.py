@@ -23,6 +23,7 @@ KETS = {
     "inf": [1.0, np.inf],
     "zero": [0.0, 0.0],
     "huge": [1e200, 1e200],  # finite, but its norm overflows
+    "tiny": [1e-160, 0.0],  # nonzero, but its squared norm is subnormal
     "length": [1.0, 0.0, 0.0],
 }
 
@@ -45,6 +46,10 @@ def normals_case(normals, epsilon=0.3):
 
 def ket_cases(name, call, pattern, kets=KETS):
     return [(f"{name}-{kind}", lambda k=ket: call(k), pattern(kind)) for kind, ket in kets.items()]
+
+
+def copy_phases(phases):
+    return lambda: hf.build_copy_unitary(phases, oc.computational_projectors(2), oc.computational_projectors(2))
 
 
 WEIGHTS = np.full((N, 2, 2), 0.25)
@@ -89,6 +94,14 @@ CASES = [
      r"^weights must form a nonnegative matrix$"),
     ("knowledge-rows", lambda: ke.build_knowledge_state(np.full((3, 1), 1 / 3), DIMS),
      r"^basis shapes do not match weights and layout$"),
+    ("basis-huge", lambda: oc.ProjectorSet.from_basis(spoil(EYE, 1e200, (0, 1))),
+     r"^range basis \(2, 2\) overflows its projectors$"),  # finite, but Q Q^H overflows
+    ("copy-phases-nan", copy_phases(spoil(np.zeros((2, 2)), np.nan, (0, 1))),
+     r"^phase matrix contains non-finite entries$"),
+    ("copy-phases-inf", copy_phases(spoil(np.zeros((2, 2)), np.inf, (1, 1))),
+     r"^phase matrix contains non-finite entries$"),
+    ("copy-phases-inf-gauge", copy_phases(spoil(np.zeros((2, 2)), np.inf, (0, 0))),
+     r"^phase matrix contains non-finite entries$"),  # the gauge shift gives inf - inf
     *ket_cases(
         "from-ket",
         dp.RelativeState.from_ket,

@@ -1,7 +1,6 @@
 """CLI contract: exit codes, precedence, determinism, schemas, goldens."""
 
 import dataclasses
-import hashlib
 import json
 import os
 import random
@@ -12,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frozen
 from qsim import cli, properties
 from qsim import heisenberg_flow as hf
 from qsim import knowledge_entropy as ke
@@ -19,21 +19,8 @@ from qsim import operator_core as oc
 from qsim.errors import CapacityError
 from qsim.scenarios import SCENARIOS, ScenarioConfig, fmt, run_scenario
 
-GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
 DOCS = Path(__file__).parents[1] / "docs"
-# payload hashes of the per-trial decoherence code that the stacked kernel replaced;
-# the property-suite entries are from the tool_version 0.2.0 copy analysis
-PARENT_SHA256 = json.loads((DATA / "decoherence_frozen.json").read_text())["payload_sha256"]
-# copy-demo payload hashes of the tool_version 0.2.0 copy analysis
-COPY_FROZEN = json.loads((DATA / "copy_frozen.json").read_text())
-# report hashes of the scenario layer before its dispatch table, exit-code rule
-# and CSV projection were merged
-REPORT_FROZEN = json.loads((DATA / "report_frozen.json").read_text())
-
-
-def payload_sha256(results: dict) -> str:
-    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
 
 
 def run_cli(argv, capsys, monkeypatch, env_seed=None):
@@ -350,89 +337,21 @@ class TestMalformedInput:
         out = capsys.readouterr()
         assert out.out == cli.build_parser().format_help() and out.err == ""
 
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = cli._Parser.parse_args
+        monkeypatch.setattr(cli._Parser, "parse_args", lambda p, a: parsers.append(p) or parse_args(p, a))
+        assert run_cli(["no-cloning"], capsys, monkeypatch)[0] == 0
+        assert run_cli(["bogus"], capsys, monkeypatch)[0] == 2
+        assert len(parsers) == 2 and parsers[0] is parsers[1] is cli.build_parser()
+        # the cached parser gives the help of a freshly built one
+        assert parsers[0].format_help() == cli.build_parser.__wrapped__().format_help()
+
     @pytest.mark.parametrize("scenario, text", CONFIG_CASES)
     def test_config_refused_with_one_line(self, capsys, monkeypatch, tmp_path, scenario, text):
         (tmp_path / "cfg.json").write_text(text)
         argv = [scenario, "--config", str(tmp_path / "cfg.json")]
         self.assert_refused(*run_cli(argv, capsys, monkeypatch))
-
-
-_COPY_HASHES = """
-import hashlib, json, sys
-from qsim.scenarios import ScenarioConfig, run_scenario
-
-out = {}
-for key in sys.argv[1:]:
-    dims, seed = key.split(":")
-    cfg = ScenarioConfig("copy-demo", seed=int(seed), dims=tuple(map(int, dims.split(","))))
-    payload = json.dumps(run_scenario(cfg).results, sort_keys=True)
-    out[key] = hashlib.sha256(payload.encode()).hexdigest()
-print(json.dumps(out))
-"""
-
-
-_REPORT_HASHES = """
-import dataclasses, hashlib, json, os, sys, tempfile
-from qsim import cli
-from qsim.scenarios import run_scenario
-
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-out = []
-with tempfile.TemporaryDirectory() as tmp:
-    for case in json.load(sys.stdin):
-        argv = list(case["argv"])
-        if "config_file" in case:
-            path = os.path.join(tmp, "cfg.json")
-            with open(path, "w") as fh:
-                json.dump(case["config_file"], fh)
-            argv += ["--config", path]
-        cfg, trials_override = cli.resolve_config(cli.build_parser().parse_args(argv))
-        report = run_scenario(cfg, trials_override)
-        out.append({
-            "exit_code": report.exit_code,
-            "results_payload": sha256(report.results_payload()),
-            "to_csv": sha256(report.to_csv()),
-            "to_json": sha256(dataclasses.replace(report, wall_time_ms=0.0).to_json()),
-        })
-print(json.dumps(out))
-"""
-
-
-def run_pinned(script: str, *args: str, stdin: str | None = None):
-    """Run a script in a fresh interpreter with the BLAS thread count pinned.
-
-    From 5x5 up the copy analysis's SVD and products are large enough that
-    OpenBLAS splits them across threads, and the payload bits change with the
-    thread count, so frozen copy-demo hashes are computed with one thread.
-    """
-    threads = str(COPY_FROZEN["blas_threads"])
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("QSIM_SEED", None)
-    done = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        input=stdin, env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout)
-
-
-@pytest.fixture(scope="module")
-def copy_payload_hashes():
-    """copy-demo payload hashes, run with the BLAS thread count they were frozen at."""
-    return run_pinned(_COPY_HASHES, *sorted(COPY_FROZEN["payload_sha256"]))
-
-
-@pytest.fixture(scope="module")
-def report_hashes():
-    """Hashes of every frozen CLI case's report, in the order of the frozen file."""
-    cases = [
-        {k: v for k, v in case.items() if k in ("argv", "config_file")}
-        for case in REPORT_FROZEN["cases"]
-    ]
-    return run_pinned(_REPORT_HASHES, stdin=json.dumps(cases))
 
 
 class TestDeterminism:
@@ -448,50 +367,22 @@ class TestDeterminism:
 
     def test_second_law_rows_match_frozen_vectors(self):
         # the stacked engine reproduces the per-trial results it replaced
-        frozen = json.loads((DATA / "selection_frozen.json").read_text())
-        for case in frozen["cases"]:
+        for case in (c for c in frozen.CASES if c.fn is frozen.selection_vectors):
+            call, want = case.call, frozen.stored(case)
             cfg = ScenarioConfig(
                 "second-law",
-                seed=frozen["seed"],
-                dims=tuple(case["dims"]),
-                trials=frozen["trials"],
-                epsilon=case["epsilon"],
-                uniform_weights=case["uniform_weights"],
+                seed=call["seed"],
+                dims=tuple(call["dims"]),
+                trials=call["trials"],
+                epsilon=call["epsilon"],
+                uniform_weights=call["uniform_weights"],
             )
             (row,) = run_scenario(cfg).results["sweep"]
             for key in ("ds1", "ds2"):
-                ds = [float.fromhex(x) for x in case[key]]
+                ds = [float.fromhex(x) for x in want[key]]
                 assert row[f"mean_{key}"] == fmt(sum(ds) / len(ds))
                 violations = sum(1 for d in ds if d < -1e-9) / len(ds)
                 assert row[f"violation_fraction_s{key[-1]}"] == fmt(violations)
-
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_decoherence_payload_matches_per_trial_code(self, seed):
-        report = run_scenario(ScenarioConfig("decoherence-demo", seed=seed, trials=600))
-        assert payload_sha256(report.results) == PARENT_SHA256[f"decoherence-demo:{seed}"]
-
-    @pytest.mark.parametrize("seed", [2, 3])  # seed 1: TestPropertySuite
-    def test_property_suite_payload_matches_per_trial_code(self, seed):
-        report = run_scenario(ScenarioConfig("property-suite", seed=seed))
-        assert payload_sha256(report.results) == PARENT_SHA256[f"property-suite:{seed}"]
-
-    @pytest.mark.parametrize("key", sorted(COPY_FROZEN["payload_sha256"]))
-    def test_copy_payload_matches_frozen(self, copy_payload_hashes, key):
-        assert copy_payload_hashes[key] == COPY_FROZEN["payload_sha256"][key]
-
-    @pytest.mark.parametrize(
-        "index",
-        range(len(REPORT_FROZEN["cases"])),
-        ids=[
-            " ".join(case["argv"] + (["--config"] if "config_file" in case else []))
-            for case in REPORT_FROZEN["cases"]
-        ],
-    )
-    def test_report_matches_frozen(self, report_hashes, index):
-        # payload, CSV, JSON report and exit code, byte for byte
-        case = REPORT_FROZEN["cases"][index]
-        assert report_hashes[index] == {key: case[key] for key in report_hashes[index]}
 
     @pytest.mark.parametrize(
         "cfg",
@@ -549,44 +440,8 @@ class TestDeterminism:
 
 
 class TestGoldenCsv:
-    def test_second_law_sweep_regenerates(self, capsys, monkeypatch, tmp_path):
-        out_path = tmp_path / "sweep.csv"
-        code, _, _ = run_cli(
-            [
-                "second-law",
-                "--seed", "1",
-                "--trials", "50",
-                "--epsilon-sweep", "0,0.05,0.1,0.2",
-                "--format", "csv",
-                "--output", str(out_path),
-            ],
-            capsys,
-            monkeypatch,
-        )
-        assert code == 0
-        assert out_path.read_bytes() == (GOLDEN / "second_law_sweep_seed1.csv").read_bytes()
-
-    def test_uniform_weights_golden(self, capsys, monkeypatch, tmp_path):
-        out_path = tmp_path / "sweep.csv"
-        code, _, _ = run_cli(
-            [
-                "second-law",
-                "--seed", "1",
-                "--trials", "50",
-                "--epsilon-sweep", "0,0.05,0.1,0.2",
-                "--uniform-weights",
-                "--format", "csv",
-                "--output", str(out_path),
-            ],
-            capsys,
-            monkeypatch,
-        )
-        assert code == 0
-        golden = GOLDEN / "second_law_sweep_uniform_seed1.csv"
-        assert out_path.read_bytes() == golden.read_bytes()
-
     def test_sweep_means_monotone(self):
-        rows = (GOLDEN / "second_law_sweep_seed1.csv").read_text().splitlines()[1:]
+        rows = (frozen.GOLDEN / "second_law_sweep_seed1.csv").read_text().splitlines()[1:]
         means = [float(r.split(",")[2]) for r in rows]
         assert means == sorted(means)
         assert means[0] == 0.0
@@ -718,14 +573,14 @@ class TestPrecedence:
 
 
 class TestPropertySuite:
-    def test_default_trials_full_confidence(self, capsys, monkeypatch):
-        code, out, _ = run_cli(["property-suite"], capsys, monkeypatch)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["results"]["all_passed"]
-        assert not doc["results"]["reduced_confidence"]
-        assert len(doc["results"]["properties"]) == len(properties.REGISTRY)
-        assert payload_sha256(doc["results"]) == PARENT_SHA256["property-suite:1"]
+    def test_default_trials_full_confidence(self):
+        # the default run is the frozen payload case, computed once per test run; its
+        # CLI exit code is the frozen report case `property-suite`
+        (case,) = (c for c in frozen.CASES if c.id == "property-suite --seed 1")
+        results = frozen.record(case)["results"]
+        assert results["all_passed"]
+        assert not results["reduced_confidence"]
+        assert len(results["properties"]) == len(properties.REGISTRY)
 
     def test_reduced_trials_flagged(self, capsys, monkeypatch):
         code, out, _ = run_cli(

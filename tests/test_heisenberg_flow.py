@@ -147,7 +147,7 @@ class TestBuildCopyUnitary:
         assert isinstance(ci.unitary, oc.UnitaryOperator)
         assert ci.layout.factor_dims == (2, 2)
         np.testing.assert_array_equal(ci.unitary.mat, cnot.unitary.mat)
-        with pytest.raises(ValidationError, match="^unitary contains non-finite entries$"):
+        with pytest.raises(ValidationError, match="^phase matrix contains non-finite entries$"):
             hf.CopyInteraction(np.array([[0.0, np.nan], [0.0, 0.0]]), cnot.proj1, cnot.proj2)
 
 

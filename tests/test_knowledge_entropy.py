@@ -1,43 +1,15 @@
 """Entropy, knowledge states, decoherence, and selection processes."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+from frozen import eye_bases, stack_inputs
 from qsim import knowledge_entropy as ke
 from qsim import operator_core as oc
 from qsim.errors import CapacityError, UsageError, ValidationError
 from qsim.rng import substream
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-
-# ds1/ds2 per trial (float.hex) and whole selection reports, as computed by
-# the one-selection-per-trial code that preceded the stacked engine
-FROZEN = json.loads((Path(__file__).parent / "data" / "selection_frozen.json").read_text())
-# per-trial decoherence margins (float.hex), as computed one trial at a time
-# (random_density, random_projector_set, entropy_after_decoherence_geq) by
-# the code that preceded the stacked kernel
-DECOHERENCE_FROZEN_PATH = Path(__file__).parent / "data" / "decoherence_frozen.json"
-DECOHERENCE_FROZEN = json.loads(DECOHERENCE_FROZEN_PATH.read_text())
-
-# recomputes the frozen decoherence margins in a fresh interpreter (argv: src dir, frozen file)
-_FROZEN_MARGINS = """
-import json, sys
-from pathlib import Path
-sys.path.insert(0, sys.argv[1])
-from qsim import knowledge_entropy as ke
-frozen = json.loads(Path(sys.argv[2]).read_text())
-print(json.dumps([
-    [x.hex() for x in ke.decoherence_margins(case["seed"], frozen["trials"]).tolist()]
-    for case in frozen["cases"]
-]))
-"""
-
 
 def binary_entropy(p):
     """Independent oracle: -sum p log2 p over a Bernoulli spectrum."""
@@ -306,11 +278,6 @@ def one_trial_margin(seed, t):
 
 
 class TestDecoherenceKernel:
-    @pytest.mark.parametrize("case", DECOHERENCE_FROZEN["cases"], ids=lambda c: f"seed{c['seed']}")
-    def test_matches_frozen_per_trial_margins(self, case):
-        margins = ke.decoherence_margins(case["seed"], DECOHERENCE_FROZEN["trials"])
-        assert [x.hex() for x in margins.tolist()] == case["margins"]
-
     def test_one_trial_api_is_the_kernel(self):
         margins = ke.decoherence_margins(3, 40)
         assert margins.tolist() == [one_trial_margin(3, t) for t in range(40)]
@@ -322,17 +289,6 @@ class TestDecoherenceKernel:
 
     def test_never_decreases(self):
         assert ke.decoherence_margins(6, 500).min() >= -1e-9
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_frozen_margins_at_blas_threads(self, threads):
-        # the per-dimension stacks must stay below the sizes OpenBLAS threads
-        src = str(Path(__file__).parents[1] / "src")
-        done = subprocess.run(
-            [sys.executable, "-c", _FROZEN_MARGINS, src, str(DECOHERENCE_FROZEN_PATH)],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
-            capture_output=True, text=True, check=True,
-        )
-        assert json.loads(done.stdout) == [case["margins"] for case in DECOHERENCE_FROZEN["cases"]]
 
     def test_a_failure_names_its_trial(self, monkeypatch):
         # break the unitaries of every dim-3 trial: groups are checked in
@@ -600,41 +556,7 @@ def filtered_entropy(m):
     return float(-np.sum(nz * np.log2(nz)))
 
 
-def stack_inputs(seed, n, dims, eps, uniform=False):
-    """Weights and lambda of n trials drawn as the second-law scenario draws them."""
-    d1, d2 = dims
-    d = d1 * d2
-    rngs = [substream(seed, t) for t in range(n)]
-    if uniform:
-        p = np.full((n, d1, d2), 1.0 / d)
-    else:
-        p = np.array([w / w.sum() for w in (rng.random(dims) for rng in rngs)])
-    normals = np.empty((n, d, d))  # read only when eps > 0
-    if eps > 0:
-        normals = np.array([rng.standard_normal((d, d)) for rng in rngs])
-    return p, ke.perturbed_lams(dims, eps, normals)
-
-
-def eye_bases(dims):
-    return np.eye(dims[0], dtype=complex), np.eye(dims[1], dtype=complex)
-
-
-def case_id(case):
-    weights = "uniform" if case["uniform_weights"] else "random"
-    return f"{case['dims'][0]}x{case['dims'][1]}-eps{case['epsilon']}-{weights}"
-
-
 class TestStackedSelection:
-    @pytest.mark.parametrize("case", FROZEN["cases"], ids=case_id)
-    def test_matches_frozen_per_trial_vectors(self, case):
-        dims = tuple(case["dims"])
-        p, lam = stack_inputs(
-            FROZEN["seed"], FROZEN["trials"], dims, case["epsilon"], case["uniform_weights"]
-        )
-        sel = ke.select_stack(p, lam, *eye_bases(dims))
-        assert [x.hex() for x in sel.ds1.tolist()] == case["ds1"]
-        assert [x.hex() for x in sel.ds2.tolist()] == case["ds2"]
-
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 5)])
     def test_stack_matches_one_trial_selections(self, dims):
         n = 6
@@ -647,27 +569,6 @@ class TestStackedSelection:
             rep = ke.apply_selection_process(ks, ke.perturb_selection(dims, 0.3, rng))
             assert (sel.ds1[t], sel.ds2[t], sel.s_global[t]) == (rep.ds1, rep.ds2, rep.s_global)
             np.testing.assert_array_equal(sel.rho_t2[t], rep.rho_t2.mat)
-
-    @pytest.mark.parametrize("name", sorted(FROZEN["reports"]))
-    def test_report_fields_match_frozen(self, name):
-        if name == "relabeling_counterexample":
-            ks, theta = ke.relabeling_counterexample()
-        else:
-            rng = substream(43, int(name[-1]))
-            p = rng.random((3, 3))
-            ks = ke.build_knowledge_state(p / p.sum(), (3, 3))
-            theta = ke.perturb_selection((3, 3), 0.4, rng)
-        rep = ke.apply_selection_process(ks, theta)
-        # the four marginals come from the stack the report is built on
-        sel = ke.select_stack(ks.p_ab[None], theta.lam[None], *eye_bases(ks.layout.factor_dims))
-        marginals = dict(zip(("rho1_t1", "rho2_t1", "rho1_t2", "rho2_t2"), sel.marginals))
-        for field, want in FROZEN["reports"][name].items():
-            if isinstance(want, str):
-                assert float(getattr(rep, field)).hex() == want, field
-            else:
-                mat = (marginals[field][0] if field in marginals else rep.rho_t2.mat).ravel()
-                assert [float(x).hex() for x in mat.real] == want[0], field
-                assert [float(x).hex() for x in mat.imag] == want[1], field
 
     @pytest.mark.parametrize(
         "corrupt",

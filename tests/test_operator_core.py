@@ -367,6 +367,13 @@ class TestSerialization:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+    def test_unit_ket_keeps_its_bits_in_range(self, scale):
+        # the underflow check rejects only norms below MIN_KET_NORM ~ 1.5e-154
+        v = np.array([scale, 0.5 * scale, -0.25j * scale])
+        np.testing.assert_array_equal(oc.unit_ket(v), v / np.linalg.norm(v))
+        assert abs(np.linalg.norm(oc.unit_ket(v)) - 1) <= 1e-15
+
     def test_density_matrix_invariants(self):
         with pytest.raises(ValidationError):
             oc.DensityMatrix.from_matrix(np.diag([0.5, 0.6]).astype(complex))
@@ -679,7 +686,6 @@ class TestRangeBasis:
         fam = oc.ProjectorSet.from_blocks(q, [1] * dim)
         assert old_projector_message(fam.projectors) is None
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     def test_range_basis_must_match_its_blocks(self):
         with pytest.raises(ValidationError, match="does not split into blocks"):
             oc.ProjectorSet.from_blocks(np.eye(3), [1, 1])
