@@ -6,4 +6,4 @@ and quantifies how imperfect knowledge-selection processes raise
 subsystem entropy.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -132,29 +132,17 @@ class KnowledgeState:
             object.__setattr__(self, name, value)
 
     def realized_density(self) -> DensityMatrix:
-        kets = _product_kets(self.basis1, self.basis2, *self.p_ab.shape)
-        return DensityMatrix(self.layout, _weighted_dyads(self.p_ab[None], kets[None])[0])
+        kets = np.kron(self.basis1, self.basis2)  # column a*nb + b is |a>|b>
+        return DensityMatrix(self.layout, _mixtures(self.p_ab[None], kets[None])[0])
 
 
-def _product_kets(basis1: np.ndarray, basis2: np.ndarray, na: int, nb: int) -> np.ndarray:
-    """|a>|b> for a < na, b < nb, as an (na, nb, d1*d2) array."""
-    kets = basis1[:, :na].T[:, None, :, None] * basis2[:, :nb].T[None, :, None, :]
-    return kets.reshape(na, nb, -1)
+def _mixtures(p: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """sum_ab p[n,a,b] |k_nab><k_nab| for each trial n, as one matmul (K_n diag p_n) K_n-dagger.
 
-
-def _weighted_dyads(p: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """sum_ab p[n,a,b] |k_nab><k_nab| for each trial n, added in (a, b) row-major order.
-
-    p is (N, na, nb); kets is (N, na, nb, d), or (1, na, nb, d) when shared.
+    p is (N, na, nb); kets K is (N, d, na*nb), or (1, d, na*nb) when shared,
+    with |k_nab> its column a*nb + b.
     """
-    n, na, nb = p.shape
-    d = kets.shape[-1]
-    out = np.zeros((n, d, d), dtype=complex)
-    for a in range(na):
-        for b in range(nb):
-            k = kets[:, a, b]
-            out += p[:, a, b, None, None] * (k[:, :, None] * k.conj()[:, None, :])
-    return out
+    return (kets * p.reshape(len(p), 1, -1)) @ dagger(kets)
 
 
 def build_knowledge_state(p_ab: np.ndarray, dims: tuple[int, int]) -> KnowledgeState:
@@ -204,8 +192,7 @@ class ThetaFamily:
 
     def vectors(self, basis1: np.ndarray, basis2: np.ndarray) -> np.ndarray:
         """theta vectors as columns, in (a, b) row-major order."""
-        na, nb = self.lam.shape[:2]
-        return _theta_kets(self.lam[None], basis1, basis2)[0].reshape(na * nb, -1).T
+        return _theta_kets(self.lam[None], basis1, basis2)[0]
 
     @staticmethod
     def ideal(dims: tuple[int, int]) -> "ThetaFamily":
@@ -214,9 +201,12 @@ class ThetaFamily:
 
 
 def _theta_kets(lam: np.ndarray, basis1: np.ndarray, basis2: np.ndarray) -> np.ndarray:
-    """|theta_nab> = sum_cd lam[n,a,b,c,d] |c>|d>, as an (N, na, nb, d1*d2) array."""
+    """|theta_nab> = sum_cd lam[n,a,b,c,d] |c>|d> as column a*nb + b of K_n, an (N, d, na*nb) stack.
+
+    K_n = (basis1 x basis2) Lambda_n-transpose, row ab of Lambda_n being theta_ab's coefficients.
+    """
     n, na, nb = lam.shape[:3]
-    return np.einsum("nabcd,ic,jd->nabij", lam, basis1, basis2).reshape(n, na, nb, -1)
+    return np.kron(basis1, basis2) @ lam.reshape(n, na * nb, -1).swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -419,8 +409,8 @@ class StackedSelection:
     """Per-trial results of a selection stack; axis 0 indexes the trial."""
 
     rho_t2: np.ndarray  # (N, d, d)
-    marginals: tuple[np.ndarray, ...]  # rho1(t1), rho2(t1), rho1(t2), rho2(t2)
-    entropies: np.ndarray  # (4, N): entropy of each marginal, same order
+    marginals: tuple[np.ndarray, np.ndarray]  # rho1(t2), rho2(t2)
+    entropies: np.ndarray  # (4, N): S1(t1), S2(t1), S1(t2), S2(t2)
     s_global: np.ndarray  # (N,): entropy of rho(t2)
 
     @property
@@ -444,10 +434,15 @@ def select_stack(
 
     Each stack is validated once, by the one check per concept that
     KnowledgeState (bases, then weights), ThetaFamily (lambda) and
-    DensityMatrix (rho(t1), rho(t2), the four marginals) also run.  A failure
-    names the first bad trial, numbered by `trials` (default: the stack
-    index).  Every operation acts on each trial alone, so a trial's numbers
-    are those of a one-trial stack.
+    DensityMatrix (rho(t2) and its two marginals) also run.  A failure names
+    the first bad trial, numbered by `trials` (default: the stack index).
+    rho(t1) is not built: p is checked and both bases are orthonormal, so its
+    marginals have p's row sums and column sums as their eigenvalues, and
+    S1(t1), S2(t1) are the entropies of those sums.  They are summed in index
+    order, as partial_trace_matrix sums a diagonal rho(t2), so an ideal
+    selection in the computational bases has ds1 = ds2 = 0.0 exactly.  Every
+    operation acts on each trial alone, so a trial's numbers are those of a
+    one-trial stack.
     """
     p = np.asarray(p, dtype=float)
     lam = np.asarray(lam)
@@ -468,20 +463,15 @@ def select_stack(
     if defect is not None:
         raise ValidationError(f"{trial_name(defect[0], trials)}: {defect[1]}")
 
-    rho_t1 = _weighted_dyads(p, _product_kets(b1, b2, na, nb)[None])
-    rho_t2 = _weighted_dyads(p, _theta_kets(lam, b1, b2))
-    check_density_stack(rho_t1, "rho(t1)", trials)
+    rho_t2 = _mixtures(p, _theta_kets(lam, b1, b2))
     evals_t2 = check_density_stack(rho_t2, "rho(t2)", trials)
-    marginals = tuple(
-        partial_trace_matrix(rho, (d1, d2), keep)
-        for rho in (rho_t1, rho_t2)
-        for keep in ((0,), (1,))
-    )
-    names = ("rho1(t1)", "rho2(t1)", "rho1(t2)", "rho2(t2)")
+    marginals = tuple(partial_trace_matrix(rho_t2, (d1, d2), keep) for keep in ((0,), (1,)))
+    sums_t1 = (np.cumsum(p, axis=2)[:, :, -1], np.cumsum(p, axis=1)[:, -1])  # in index order
     entropies = np.array(
-        [
+        [_spectral_entropies(np.sort(s, axis=1)) for s in sums_t1]
+        + [
             _spectral_entropies(check_density_stack(m, k, trials))
-            for m, k in zip(marginals, names)
+            for m, k in zip(marginals, ("rho1(t2)", "rho2(t2)"))
         ]
     )
     return StackedSelection(rho_t2, marginals, entropies, _spectral_entropies(evals_t2))
@@ -506,7 +496,7 @@ def apply_selection_process(ks: KnowledgeState, theta: ThetaFamily) -> Selection
     m2 = np.einsum("ab,abcd,abcf->df", ks.p_ab, lam, lam)
     f1 = b1 @ m1 @ dagger(b1)
     f2 = b2 @ m2 @ dagger(b2)
-    formula_residual = max(max_abs(f1 - sel.marginals[2][0]), max_abs(f2 - sel.marginals[3][0]))
+    formula_residual = max(max_abs(f1 - sel.marginals[0][0]), max_abs(f2 - sel.marginals[1][0]))
     s1_t1, s2_t1, s1_t2, s2_t2 = sel.entropies[:, 0].tolist()
     return SelectionReport(
         rho_t2=DensityMatrix.from_checked(ks.layout, sel.rho_t2[0]),  # select_stack checked it
@@ -531,51 +521,6 @@ def _complete_basis(partial: np.ndarray, dim: int) -> np.ndarray:
     return np.column_stack([partial, np.linalg.svd(partial)[0][:, partial.shape[1] :]])
 
 
-def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm of a real (N, n, n) stack, bit for bit, in one kernel loop.
-
-    A slice with nonzero entries in both strict triangles runs scipy's own
-    generic branch (scaling and squaring, Al-Mohy & Higham 2009): its private
-    Pade kernels pick_pade_structure and pade_UV_calc on that slice's (5, n, n)
-    scratch, then its s squarings, batched over the slices that still need
-    one.  That skips expm's per-slice bandwidth call, whose batch wrapper costs
-    more than the kernels at n = 4.  Slices with a zero strict triangle take
-    scipy's diagonal and triangular branches through scipy.linalg.expm itself,
-    and so does the whole stack when scipy lacks the two-argument kernel
-    form.  Scratch is the stack in chunks of max(1, N // 5) slices: no larger
-    than the stack, or than scipy's own (5, n, n).
-    """
-    import scipy.linalg  # here, so that runs without a perturbed selection never load scipy
-
-    kernels = getattr(scipy.linalg, "_matfuncs_expm", None)
-    pade = getattr(kernels, "pade_UV_calc", None)
-    if pade.__doc__ != "info = pade_UV_calc(Am, m)":  # scipy 1.17's documented form; None fails too
-        return scipy.linalg.expm(a)
-    generic = (np.tril(a, -1) != 0).any(axis=(1, 2)) & (np.triu(a, 1) != 0).any(axis=(1, 2))
-    out = np.empty_like(a)
-    if not generic.all():
-        out[~generic] = scipy.linalg.expm(a[~generic])
-    rows, n = np.flatnonzero(generic), a.shape[-1]
-    step = max(1, len(a) // 5)
-    for chunk in (rows[i : i + step] for i in range(0, len(rows), step)):
-        am = np.empty((len(chunk), 5, n, n), dtype=a.dtype)
-        am[:, 0] = a[chunk]
-        squarings = np.empty(len(chunk), dtype=int)
-        for j, scratch in enumerate(am):  # scratch[0] ends as the (scaled) Pade approximant
-            m, squarings[j] = kernels.pick_pade_structure(scratch)
-            if m < 0:
-                raise MemoryError(f"expm could not allocate its Pade structure (error code {m})")
-            if (info := pade(scratch, m)) != 0:  # as scipy: <= -11 is a failed malloc
-                kind = MemoryError if info <= -11 else RuntimeError
-                raise kind(f"expm Pade kernel failed (error code {info})")
-        e = am[:, 0]
-        for k in range(squarings.max()):
-            sq = np.flatnonzero(squarings > k)
-            e[sq] = e[sq] @ e[sq]
-        out[chunk] = e
-    return out
-
-
 def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=None) -> np.ndarray:
     """Imperfect selections: the ideal family rotated by exp(epsilon_n * G_n).
 
@@ -583,10 +528,17 @@ def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=N
     built from normals[n], trial n's standard-normal (d, d) draw, so epsilon
     is a severity dial: a scalar shared by every trial, or one value per
     trial, shape (N,).  A trial with epsilon_n = 0 gets the ideal family and
-    its normals are never read.  Returns the lambda stack (N, d1, d2, d1,
-    d2); the epsilon_n > 0 trials take one _expm_stack.  Normals that are not
-    finite or overflow G, a zero generator or a non-finite rotation name their
-    trial, numbered by `trials` (default: the stack index).
+    its normals are never read.  Returns the lambda stack (N, d1, d2, d1, d2).
+
+    The epsilon_n > 0 trials take one stacked eigh of the Hermitian
+    iG = V diag(w) V-dagger: ||G|| = max|w|, and the rotation is
+    Re(V diag(exp(-i epsilon w / ||G||)) V-dagger).  The exact product is
+    real; the imaginary part J it drops must stay within TAU_ORTH.  The
+    product is unitary, R + iJ, so the kept R has R^T R = 1 - J^T J: orthogonal
+    to within d * TAU_ORTH^2, far inside the theta-family check.  Normals
+    that are not finite or overflow G or its norm, a zero generator, a
+    rotation that is not finite (an angle epsilon w past 1e308) or not real
+    name their trial, numbered by `trials` (default: the stack index).
     """
     d1, d2 = int(dims[0]), int(dims[1])
     d = d1 * d2
@@ -604,15 +556,21 @@ def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=N
         with np.errstate(over="ignore"):  # normals near +-1e308 overflow G: blamed on them below
             g = normals[on] - normals[on].transpose(0, 2, 1)
         if (i := first_trial(~np.isfinite(g).all(axis=(1, 2)))) is None:
-            norm = np.linalg.norm(g, 2, axis=(1, 2))  # finite G, yet its norm may overflow
-            i = first_trial(norm == math.inf)
+            w, v = np.linalg.eigh(1j * g)  # finite G, yet its norm may overflow
+            norm = np.abs(w).max(axis=1)
+            i = first_trial(~np.isfinite(norm))
         if i is not None:
             raise ValidationError(f"{trial_name(on[i], trials)}: normals overflow the rotation generator")
         if (i := first_trial(norm == 0)) is not None:
             raise ValidationError(f"{trial_name(on[i], trials)}: rotation generator is zero")
-        r[on] = _expm_stack(eps[on, None, None] * (g / norm[:, None, None]))
-        if (i := first_trial(~np.isfinite(r[on]).all(axis=(1, 2)))) is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing angle: rejected below
+            phase = np.exp(-1j * (eps[on, None] * w / norm[:, None]))
+            rot = (v * phase[:, None, :]) @ dagger(v)
+        if (i := first_trial(~np.isfinite(rot).all(axis=(1, 2)))) is not None:
             raise ValidationError(f"{trial_name(on[i], trials)}: rotation exp(epsilon G) is not finite")
+        if (i := first_trial(~(np.abs(rot.imag).max(axis=(1, 2)) <= TAU_ORTH))) is not None:
+            raise ValidationError(f"{trial_name(on[i], trials)}: rotation exp(epsilon G) is not real")
+        r[on] = rot.real
     # column (a*d2 + b) of r_n is theta_ab in the computational product basis
     return r.transpose(0, 2, 1).reshape(-1, d1, d2, d1, d2)
 

@@ -375,7 +375,7 @@ class ProjectorSet:
                 if not np.isfinite(mats).all():
                     if np.isfinite(q).all():
                         raise ValidationError(f"range basis {q.shape} overflows its projectors")
-                    raise ValidationError("projector contains non-finite entries")
+                    raise ValidationError(f"range basis {q.shape} contains non-finite entries")
         if not len(mats):
             raise ValidationError("projector set must be nonempty")
         labels = self.labels or tuple(range(len(mats)))
@@ -553,10 +553,10 @@ def spectral_decompose_unitary(u: UnitaryOperator) -> SpectralDecomposition:
     eigs = np.diag(t)
     phases = np.mod(np.angle(eigs), TWO_PI)
     clusters = _cluster_phases(phases)
-    # circular mean of each cluster's member phases
-    out_phases = tuple(
-        float(np.angle(np.sum(np.exp(1j * phases[members])))) % TWO_PI for members in clusters
-    )
+    # circular mean of each cluster's member phases; one within TAU_RECON / 2 below 2*pi is
+    # 0.0, a move that adds at most TAU_RECON / 2 to the reconstruction residual checked below
+    means = [float(np.angle(np.sum(np.exp(1j * phases[members])))) % TWO_PI for members in clusters]
+    out_phases = tuple(0.0 if phi >= TWO_PI - TAU_RECON / 2 else phi for phi in means)
     basis, sizes = q[:, np.concatenate(clusters)], [len(c) for c in clusters]
     sd = SpectralDecomposition(out_phases, ProjectorSet.from_blocks(basis, sizes))
     # sum_a exp(i phi_a) P_a as one product, (Q diag(exp(i phi))) Q-dagger

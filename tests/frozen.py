@@ -127,9 +127,9 @@ def selection_report(name: str) -> dict:
         ks = ke.build_knowledge_state(p / p.sum(), (3, 3))
         theta = ke.perturb_selection((3, 3), 0.4, rng)
     rep = ke.apply_selection_process(ks, theta)
-    # the four marginals come from the stack the report is built on
+    # the two marginals at t2 come from the stack the report is built on
     sel = ke.select_stack(ks.p_ab[None], theta.lam[None], *eye_bases(ks.layout.factor_dims))
-    mats = dict(zip(("rho1_t1", "rho2_t1", "rho1_t2", "rho2_t2"), (m[0] for m in sel.marginals)))
+    mats = dict(zip(("rho1_t2", "rho2_t2"), (m[0] for m in sel.marginals)))
     scalars = ("s1_t1", "s2_t1", "s1_t2", "s2_t2", "ds1", "ds2", "s_global", "formula_residual")
     return {
         **{k: float(getattr(rep, k)).hex() for k in scalars},
@@ -173,11 +173,11 @@ property-suite --seed 3 --config {"trials": 1, "format": "csv"}""".splitlines()
 
 
 def _table() -> list[Case]:
-    # payloads of the per-trial decoherence code and of the tool_version 0.2.0 property suite
+    # payloads of the per-trial decoherence code and of the tool_version 0.3.0 property suite
     argvs = [f"decoherence-demo --seed {s} --trials 600" for s in (1, 2, 3)]
     argvs += [f"property-suite --seed {s}" for s in (1, 2, 3)]
     cases = [Case(argv, PAYLOAD, cli_payload, {"argv": argv.split()}) for argv in argvs]
-    # the tool_version 0.2.0 copy analysis, whose bits change with the BLAS thread count
+    # the tool_version 0.3.0 copy analysis, whose bits change with the BLAS thread count
     for dims in ("2,2", "2,8", "3,3", "3,5", "4,4", "5,5", "6,6", "7,7", "8,2", "8,8"):
         for seed in (1, 2, 3):
             argv = f"copy-demo --seed {seed} --dims {dims}"

@@ -421,22 +421,23 @@ class TestDeterminism:
 
     def test_second_law_sweep_is_one_stack(self, monkeypatch):
         # one select_stack for the 400 trials (then the one-trial counterexample)
-        # and one _expm_stack for the 300 with epsilon > 0, whose dense
-        # generators all run scipy's Pade kernels without scipy.linalg.expm
-        import scipy.linalg
-
-        stacks, rotations, expms = [], [], []
-        select_stack, expm_stack, expm = ke.select_stack, ke._expm_stack, scipy.linalg.expm
+        # and one eigh for the rotations of the 300 with epsilon > 0
+        stacks, rotations = [], []
+        select_stack, eigh = ke.select_stack, np.linalg.eigh
         monkeypatch.setattr(
             ke, "select_stack", lambda p, *a, **kw: stacks.append(len(p)) or select_stack(p, *a, **kw)
         )
-        monkeypatch.setattr(ke, "_expm_stack", lambda a: rotations.append(a.shape) or expm_stack(a))
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: expms.append(a.shape) or expm(a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: rotations.append(a.shape) or eigh(a))
         cfg = ScenarioConfig("second-law", trials=100, epsilon_sweep=(0.0, 0.05, 0.1, 0.2))
         assert run_scenario(cfg).exit_code == 0
         assert stacks == [400, 1]
         assert rotations == [(300, 4, 4)]
-        assert expms == []
+
+    def test_copy_demo_reports_the_zero_phase_first(self):
+        # its zero eigenphase has a circular mean of a few ulps below 2*pi
+        cfg = ScenarioConfig("copy-demo", seed=2, dims=(2, 5))
+        phases = [float(p) for p in run_scenario(cfg).results["spectral_phases"]]
+        assert phases[0] == 0.0 and phases[-1] < 2 * np.pi - oc.TAU_PHASE
 
 
 class TestGoldenCsv:
@@ -635,14 +636,14 @@ SCIPY_FREE = """
 import sys
 from qsim import cli
 
-for argv in (["payoff-demo"], ["no-cloning"], ["decoherence-demo"], ["second-law", "--epsilon", "0"]):
+for argv in (["payoff-demo"], ["no-cloning"], ["decoherence-demo"], ["second-law", "--epsilon-sweep", "0,0.2"]):
     assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
 print("scipy" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
-def test_scenarios_without_schur_or_expm_never_import_scipy(tmp_path):
-    # scipy.linalg is imported inside spectral_decompose_unitary and perturbed_lams only;
+def test_scenarios_without_schur_never_import_scipy(tmp_path):
+    # scipy.linalg is imported inside spectral_decompose_unitary only;
     # numpy.ma, which np.unique imports on first call, is not imported at all
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -439,13 +439,13 @@ class TestSelectionProcess:
         np.testing.assert_allclose(rep.rho_t2.mat, expect, atol=1e-12)
 
     def test_selection_validates_each_state_once(self, monkeypatch):
-        # rho(t1), rho(t2) and the four marginals: one eigvalsh each, none for the report
+        # rho(t2) and its two marginals: one eigvalsh each, none for rho(t1) or the report
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
         rep = ke.apply_selection_process(*ke.relabeling_counterexample())
-        assert len(calls) == 6
-        np.testing.assert_array_equal(rep.rho_t2.mat, calls[1][0])
+        assert len(calls) == 3
+        np.testing.assert_array_equal(rep.rho_t2.mat, calls[0][0])
         assert not rep.rho_t2.mat.flags.writeable
 
     def test_epsilon_zero_matches_ideal(self):
@@ -617,9 +617,9 @@ class TestStackedSelection:
         p[:, :, : dims[1] // 4 + 1] = 0.0
         p /= p.sum(axis=(1, 2), keepdims=True)
         sel = ke.select_stack(p, lam, *eye_bases(dims))
-        for k, marginal in enumerate(sel.marginals):
+        for k in range(4):  # at epsilon = 0 the t1 marginals are those at t2
             for t in range(len(p)):
-                assert sel.entropies[k, t] == filtered_entropy(marginal[t])
+                assert sel.entropies[k, t] == filtered_entropy(sel.marginals[k % 2][t])
         assert np.any(np.linalg.eigvalsh(sel.marginals[1]) < ke.EIGENVALUE_CLAMP)
 
     def test_epsilon_zero_draws_nothing(self):
@@ -680,7 +680,7 @@ class TestStackedSelection:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_normals_name_their_trial(self, bad):
-        # read only at an epsilon > 0 trial, and rejected before the SVD of the generator
+        # read only at an epsilon > 0 trial, and rejected before the eigh of the generator
         normals = substream(51, 0).standard_normal((3, 4, 4))
         normals[0, 0, 0] = normals[2, 1, 3] = bad
         with pytest.raises(ValidationError, match=r"^trial 9: normals are not finite$"):
@@ -697,78 +697,68 @@ class TestStackedSelection:
         with pytest.raises(ValidationError, match=message):
             ke.perturbed_lams((2, 2), np.array([0.5, 1e308]), normals)
 
+    def test_rotation_that_is_not_real_names_its_trial(self):
+        # at epsilon 1e12 the angles of the +-w pairs of iG differ by ~1e12 * ulp(||G||), so
+        # the eigh product keeps an imaginary part far above TAU_ORTH; 1e6 is still real
+        normals = substream(52, 0).standard_normal((3, 4, 4))
+        with pytest.raises(ValidationError, match=r"^trial 6: rotation exp\(epsilon G\) is not real$"):
+            ke.perturbed_lams((2, 2), np.array([0.5, 1e6, 1e12]), normals, trials=[4, 5, 6])
+        ke.perturbed_lams((2, 2), np.array([0.5, 1e6]), normals[:2])
 
-def unit_generators(seed, n, d):
-    """n random real antisymmetric (d, d) generators of unit spectral norm, as perturbed_lams builds them."""
-    normals = substream(seed, 0).standard_normal((n, d, d))
-    g = normals - normals.transpose(0, 2, 1)
-    return g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
-
-
-class TestExpmStack:
-    """_expm_stack equals scipy.linalg.expm byte for byte, on every route."""
-
-    @pytest.fixture
-    def expm_calls(self, monkeypatch):
-        """The shapes scipy.linalg.expm is called with from here on."""
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (8, 8)])
+    def test_rotation_matches_the_matrix_exponential(self, d1, d2):
+        # the Pade reference and the eigh route each err by a few d * ulp, growing with the
+        # rotation angle epsilon (G / ||G|| has unit norm): 1e-13 * (1 + epsilon) covers d = 64
         import scipy.linalg
 
-        calls, expm = [], scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
-        return calls
+        d = d1 * d2
+        normals = substream(53, d).standard_normal((3, d, d))
+        g = normals - normals.transpose(0, 2, 1)
+        g /= np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+        for eps in (1e-3, 0.3, 5.0):
+            want = scipy.linalg.expm(eps * g).transpose(0, 2, 1).reshape(-1, d1, d2, d1, d2)
+            got = ke.perturbed_lams((d1, d2), eps, normals)
+            assert np.abs(got - want).max() <= 1e-13 * (1 + eps), f"epsilon {eps}"
 
-    @pytest.mark.parametrize("d", [4, 6, 9, 16, 64])
-    def test_dense_stack_is_scipy_bit_for_bit(self, d, expm_calls):
-        import scipy.linalg
+    @pytest.mark.parametrize("dims", [(2, 3), (8, 8)])
+    def test_rho_t2_matches_the_dyad_loop(self, dims):
+        # the matmul sums the na*nb dyads in another order than sum_ab p_ab |k><k|; each
+        # entry is at most na*nb rounded terms of size <= 1, so na*nb * eps bounds the gap
+        p, lam = stack_inputs(58, 4, dims, 0.3)
+        kets = ke._theta_kets(lam, *eye_bases(dims))
+        want = np.zeros(kets.shape[:1] + kets.shape[1:2] * 2, dtype=complex)
+        for m in range(kets.shape[-1]):
+            k = kets[:, :, m]
+            want += p.reshape(len(p), -1)[:, m, None, None] * (k[:, :, None] * k.conj()[:, None, :])
+        got = ke.select_stack(p, lam, *eye_bases(dims)).rho_t2
+        assert np.abs(got - want).max() <= kets.shape[-1] * np.finfo(float).eps
 
-        # from a subnormal epsilon (no scaling) to 1e3: 10 squarings at d = 64, and at
-        # d = 4 one stack whose slices need 8, 9 and 8
-        g = unit_generators(60 + d, 3, d)
-        for eps in [5e-324, 1e-300, 0.02, 0.3, 5.0, 50.0, 1e3]:
-            want = scipy.linalg.expm(eps * g)
-            expm_calls.clear()
-            assert ke._expm_stack(eps * g).tobytes() == want.tobytes(), f"epsilon {eps}"
-            if eps > 5e-324:  # where entries of eps * G round to 0, scipy's branches may take a slice
-                assert expm_calls == [], f"epsilon {eps}"
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 16), (8, 8)])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_epsilon_zero_changes_no_entropy(self, dims, uniform):
+        # the t1 sums run in the order partial_trace_matrix sums the diagonal rho(t2)
+        p, lam = stack_inputs(55, 40, dims, 0.0, uniform)
+        sel = ke.select_stack(p, lam, *eye_bases(dims))
+        assert sel.ds1.tolist() == sel.ds2.tolist() == [0.0] * len(p)
 
-    def test_diagonal_and_triangular_slices_take_scipy_branches(self, expm_calls):
-        import scipy.linalg
-
-        dense = 50.0 * unit_generators(70, 2, 4)
-        tri = substream(71, 0).standard_normal((4, 4))
-        others = [np.diag([0.5, -1.0, 2.0, 3.0]), 30.0 * np.triu(tri), 30.0 * np.tril(tri), np.zeros((4, 4))]
-        a = np.stack([dense[0], *others[:2], dense[1], *others[2:]])
-        want = scipy.linalg.expm(a)
-        expm_calls.clear()
-        assert ke._expm_stack(a).tobytes() == want.tobytes()
-        assert expm_calls == [(4, 4, 4)]  # only the four slices with a zero strict triangle
-
-    @pytest.mark.parametrize("scipy_kernels", ["missing", "older-signature"])
-    def test_without_the_two_argument_kernels_scipy_takes_the_stack(
-        self, scipy_kernels, monkeypatch, expm_calls
-    ):
-        import scipy.linalg
-
-        a = 0.3 * unit_generators(72, 5, 4)
-        want = scipy.linalg.expm(a)
-        expm_calls.clear()
-        if scipy_kernels == "missing":
-            monkeypatch.delattr(scipy.linalg, "_matfuncs_expm")
-        else:
-            monkeypatch.setattr(scipy.linalg._matfuncs_expm, "pade_UV_calc", lambda am, n, m: None)
-        assert ke._expm_stack(a).tobytes() == want.tobytes()
-        assert expm_calls == [(5, 4, 4)]
-
-    def test_a_failed_kernel_raises(self, monkeypatch):
-        import scipy.linalg
-
-        def failing(am, m):
-            return -1
-
-        failing.__doc__ = "info = pade_UV_calc(Am, m)"
-        monkeypatch.setattr(scipy.linalg._matfuncs_expm, "pade_UV_calc", failing)
-        with pytest.raises(RuntimeError, match=r"^expm Pade kernel failed \(error code -1\)$"):
-            ke._expm_stack(0.3 * unit_generators(73, 2, 4))
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 5), (4, 4), (8, 8)])
+    def test_t1_spectra_are_the_weight_sums(self, dims):
+        # in random orthonormal bases, the marginals of the realized rho(t1) have p's row and
+        # column sums as their spectra; eigvalsh and the basis products round them by a few
+        # d * ulp, within 1e-13.  That moves each entropy term by 1e-13 * (|log2 x| + 1.5),
+        # so the entropies by under 1e-12 while every sum x exceeds 1e-3, as these do
+        d1, d2 = dims
+        for seed in range(3):
+            rng = substream(56, 10 * seed + d1 * d2)
+            bases = [oc.haar_unitaries(oc.ginibre((1, d, d), rng))[0] for d in dims]
+            p, lam = stack_inputs(57 + seed, 5, dims, 0.0)
+            sel = ke.select_stack(p, lam, *bases)
+            for t in range(len(p)):
+                rho = ke.KnowledgeState(p[t], *bases, oc.SubsystemLayout(dims)).realized_density()
+                for k, sums in enumerate((p[t].sum(axis=1), p[t].sum(axis=0))):
+                    evals = np.linalg.eigvalsh(oc.partial_trace_matrix(rho.mat, dims, (k,)))
+                    assert np.abs(evals - np.sort(sums)).max() <= 1e-13
+                    assert abs(sel.entropies[k, t] - filtered_entropy(np.diag(evals))) <= 1e-12
 
 
 class TestBuildKnowledgeState:

@@ -234,6 +234,19 @@ class TestSpectralDecomposition:
         else:
             assert oc.max_abs(oc.spectral_decompose_unitary(u).reconstruct() - u.mat) <= oc.TAU_RECON
 
+    @pytest.mark.parametrize("zero", [-5e-9, -2e-9, -1e-17, -1e-15, 0.0, 1e-15])
+    def test_zero_eigenphase_is_reported_as_zero(self, zero):
+        # a circular mean a few ulps below 2*pi is the zero phase, so it sorts first; one
+        # further below keeps its value, which the reconstruction check still accepts
+        u = oc.UnitaryOperator.from_matrix(np.diag(np.exp(1j * np.array([2.5, zero, 1.0]))))
+        sd = oc.spectral_decompose_unitary(u)
+        assert oc.max_abs(sd.reconstruct() - u.mat) <= oc.TAU_RECON
+        (phi,) = [x for x in sd.phases if min(abs(x - 1.0), abs(x - 2.5)) > 0.1]
+        if -oc.TAU_RECON / 2 <= zero <= 0:
+            assert phi == 0.0 and sorted(sd.phases)[0] == 0.0
+        else:
+            assert phi == pytest.approx(zero % oc.TWO_PI, abs=1e-15)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             oc.UnitaryOperator.from_matrix(np.diag([1.0, 2.0]).astype(complex))
@@ -694,7 +707,8 @@ class TestRangeBasis:
             for bad in (np.nan, np.inf):
                 q_bad = q.copy()
                 q_bad[0, -1] = bad
-                with pytest.raises(ValidationError, match="^projector contains non-finite entries$"):
+                message = rf"^range basis \({dim}, {dim}\) contains non-finite entries$"
+                with pytest.raises(ValidationError, match=message):
                     oc.ProjectorSet.from_basis(q_bad)
             # orthonormal but too few columns: the Gram check passes, completeness does not
             with pytest.raises(ValidationError, match="^projector set is not complete$"):
