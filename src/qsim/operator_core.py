@@ -526,44 +526,39 @@ def support_projector(m: np.ndarray) -> np.ndarray:
     return vecs @ dagger(vecs)
 
 
-def _cluster_phases(phases: np.ndarray, tol: float = TAU_PHASE) -> list[np.ndarray]:
-    """Group sorted-index arrays of eigenphases that lie within tol on the circle."""
-    order = np.argsort(phases)
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and phases[idx] - phases[clusters[-1][-1]] <= tol:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    # wraparound: last cluster may abut the first across 2*pi
-    if len(clusters) > 1:
-        lo = phases[clusters[0][0]]
-        hi = phases[clusters[-1][-1]]
-        if lo + TWO_PI - hi <= tol:
-            clusters[0].extend(clusters.pop())
-    return [np.array(c) for c in clusters]
-
-
 def spectral_decompose_unitary(u: UnitaryOperator) -> SpectralDecomposition:
-    """U = sum_a exp(i phi_a) P_a with distinct clustered eigenphases."""
-    import scipy.linalg  # here, so that runs without a spectral decomposition never load scipy
+    """U = sum_a exp(i phi_a) P_a with distinct clustered eigenphases.
 
-    # complex Schur of a normal matrix gives orthonormal eigenvectors
-    t, q = scipy.linalg.schur(np.asarray(u.mat), output="complex")
-    eigs = np.diag(t)
-    phases = np.mod(np.angle(eigs), TWO_PI)
-    clusters = _cluster_phases(phases)
-    # circular mean of each cluster's member phases; one within TAU_RECON / 2 below 2*pi is
-    # 0.0, a move that adds at most TAU_RECON / 2 to the reconstruction residual checked below
-    means = [float(np.angle(np.sum(np.exp(1j * phases[members])))) % TWO_PI for members in clusters]
-    out_phases = tuple(0.0 if phi >= TWO_PI - TAU_RECON / 2 else phi for phi in means)
-    basis, sizes = q[:, np.concatenate(clusters)], [len(c) for c in clusters]
-    sd = SpectralDecomposition(out_phases, ProjectorSet.from_blocks(basis, sizes))
-    # sum_a exp(i phi_a) P_a as one product, (Q diag(exp(i phi))) Q-dagger
-    weights = np.repeat(np.exp(1j * np.array(sd.phases)), sizes)
-    if max_abs((basis * weights) @ dagger(basis) - u.mat) > TAU_RECON:
-        raise ValidationError("spectral decomposition failed to reconstruct the unitary")
-    return sd
+    A Cayley transform turns U into a Hermitian matrix with the same eigenvectors.  Its
+    pole p sits in the middle of the widest gap between U's eigenphases, so at least pi/d
+    from each; then V = -exp(-ip) U has ||(I + V)^-1|| <= 1/(2 sin(pi/2d)), and the
+    eigenvalues -cot((phi - p)/2) of C = i (I + V)^-1 (I - V) ascend with (phi - p) mod 2pi.
+    No cluster wraps around the pole, so the clusters are runs of eigh's order, the order
+    in which the phases are returned.
+    """
+    m = np.asarray(u.mat)
+    eye = np.eye(m.shape[0])
+    eig_phases = np.sort(np.angle(np.linalg.eigvals(m)) % TWO_PI)
+    gaps = np.diff(eig_phases, append=eig_phases[0] + TWO_PI)
+    pole = eig_phases[np.argmax(gaps)] + gaps.max() / 2
+    v = -np.exp(-1j * pole) * m
+    c = 1j * np.linalg.solve(eye + v, eye - v)
+    _, q = np.linalg.eigh((c + dagger(c)) / 2)
+    # each phase is the angle of its Rayleigh quotient, diag(Q-dagger U Q), of modulus 1
+    z = np.einsum("ij,ij->j", q.conj(), m @ q)
+    z /= np.abs(z)
+    clusters = eigenspaces((np.angle(z) - pole) % TWO_PI, TAU_PHASE)
+    sizes = [s.stop - s.start for s in clusters]
+    # circular mean of each cluster; one within TAU_RECON / 2 of 0 is 0.0 unless that move
+    # alone breaks the reconstruction, which is checked for the phases returned
+    means = tuple(float(np.angle(np.sum(z[s]))) % TWO_PI for s in clusters)
+    snapped = tuple(0.0 if min(phi, TWO_PI - phi) <= TAU_RECON / 2 else phi for phi in means)
+    for phases in dict.fromkeys((snapped, means)):
+        # sum_a exp(i phi_a) P_a as one product, (Q diag(exp(i phi))) Q-dagger
+        weights = np.repeat(np.exp(1j * np.array(phases)), sizes)
+        if max_abs((q * weights) @ dagger(q) - u.mat) <= TAU_RECON:
+            return SpectralDecomposition(phases, ProjectorSet.from_blocks(q, sizes))
+    raise ValidationError("spectral decomposition failed to reconstruct the unitary")
 
 
 def evolve_state(rho: DensityMatrix, u: UnitaryOperator) -> DensityMatrix:

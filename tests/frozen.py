@@ -252,9 +252,7 @@ def fingerprint() -> dict:
         get_config = ctypes.CDLL(lib).scipy_openblas_get_config64_
         get_config.argtypes, get_config.restype = [], ctypes.c_char_p
         fp["openblas"] = get_config().decode()
-    import scipy  # only for its version; the checks themselves do not need it
-
-    return {**fp, "python": sys.version.split()[0], "numpy": np.__version__, "scipy": scipy.__version__}
+    return {**fp, "python": sys.version.split()[0], "numpy": np.__version__}
 
 
 @functools.cache

@@ -636,15 +636,18 @@ SCIPY_FREE = """
 import sys
 from qsim import cli
 
-for argv in (["payoff-demo"], ["no-cloning"], ["decoherence-demo"], ["second-law", "--epsilon-sweep", "0,0.2"]):
+for argv in (
+    ["payoff-demo"], ["no-cloning"], ["decoherence-demo"], ["second-law", "--epsilon-sweep", "0,0.2"],
+    ["copy-demo", "--dims", "8,8"], ["property-suite", "--trials", "2"],
+):
     assert cli.main(argv + ["--output", sys.argv[1]]) == 0, argv
 print("scipy" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
-def test_scenarios_without_schur_never_import_scipy(tmp_path):
-    # scipy.linalg is imported inside spectral_decompose_unitary only;
-    # numpy.ma, which np.unique imports on first call, is not imported at all
+def test_no_scenario_imports_scipy(tmp_path):
+    # qsim needs numpy only; numpy.ma, which np.unique imports on first call, is not
+    # imported either
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("QSIM_SEED", None)

@@ -185,6 +185,60 @@ class TestHermitianEigendecomposition:
             oc.hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+CRAFTED = ["mirror", "degenerate", "pairs", "spread"]
+
+
+def oracle_unitaries(family):
+    """Every copy-demo unitary at seed 1, built in closed form from the scenario's draws, or
+    W diag(exp(i phi)) W-dagger (W Haar) for eigenphase patterns that stress the clustering."""
+    if family == "copy-demo":
+        yield np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+        for d1, d2 in [(a, b) for a in range(2, 33) for b in range(2, 65) if a * b <= 64][1:]:
+            rng = substream(1, 0)
+            w = np.kron(oc.random_unitary(d1, rng).mat, oc.random_unitary(d2, rng).mat)
+            yield (w * np.exp(1j * rng.uniform(0, 2 * np.pi, size=d1 * d2))) @ w.conj().T
+        return
+    for t in range(12):
+        rng = substream(91, 100 * CRAFTED.index(family) + t)
+        d = int(rng.integers(2, 17))
+        if family == "mirror":  # pairs mirrored about 0.3 rad
+            half = rng.uniform(0, np.pi, size=(d + 1) // 2)
+            phases = np.concatenate([0.3 + half, 0.3 - half])[:d]
+        elif family == "degenerate":  # up to 4 distinct phases on up to 64 eigenvectors
+            d = int(rng.integers(8, 65))
+            phases = rng.choice(rng.uniform(0, 2 * np.pi, size=int(rng.integers(1, 5))), size=d)
+        elif family == "pairs":  # pairs 2e-8 apart, just beyond TAU_PHASE
+            base = rng.uniform(0, 2 * np.pi, size=(d + 1) // 2)
+            phases = np.concatenate([base, base + 2e-8])[:d]
+        else:  # half the phases spread +-3e-9 about 0, pi/2, pi or 3 pi/2
+            centre = np.pi / 2 * int(rng.integers(4))
+            spread = centre + rng.uniform(-3e-9, 3e-9, size=d // 2)
+            phases = np.concatenate([spread, rng.uniform(0, 2 * np.pi, size=d - d // 2)])
+        w = oc.random_unitary(d, rng).mat
+        yield (w * np.exp(1j * phases)) @ w.conj().T
+
+
+def schur_oracle(u):
+    """Sorted (phase, rank) pairs of U and their reconstruction residual from scipy's complex
+    Schur form: single-linkage clusters of its eigenphases on the circle, each at its circular
+    mean, snapped to 0.0 within TAU_RECON / 2 of it unless only the snap breaks the residual."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    phases = np.angle(np.diag(t)) % oc.TWO_PI
+    order = np.argsort(phases)
+    # start the circle after its widest gap, where no cluster can straddle the cut
+    gaps = np.diff(phases[order], append=phases[order[0]] + oc.TWO_PI)
+    order = np.roll(order, -(int(np.argmax(gaps)) + 1))
+    rel = (phases[order] - phases[order[0]]) % oc.TWO_PI
+    clusters = np.split(order, np.flatnonzero(np.diff(rel) > oc.TAU_PHASE) + 1)
+    means = [float(np.angle(np.sum(np.exp(1j * phases[c])))) % oc.TWO_PI for c in clusters]
+    q = q[:, np.concatenate(clusters)]
+    for phi in ([0.0 if min(m, oc.TWO_PI - m) <= oc.TAU_RECON / 2 else m for m in means], means):
+        weights = np.exp(1j * np.repeat(phi, [len(c) for c in clusters]))
+        if (residual := oc.max_abs((q * weights) @ q.conj().T - u)) <= oc.TAU_RECON:
+            break
+    return sorted(zip(phi, map(len, clusters))), residual
+
+
 class TestSpectralDecomposition:
     def test_identity(self):
         u = oc.UnitaryOperator.from_matrix(np.eye(3, dtype=complex))
@@ -219,33 +273,57 @@ class TestSpectralDecomposition:
 
     @pytest.mark.parametrize("shift, fails", [(1e-11, False), (1e-7, True)])
     def test_reconstruction_check(self, monkeypatch, shift, fails):
-        # every eigenphase off by `shift`, so the reconstruction is off by about as much
-        schur = scipy.linalg.schur
-
-        def shifted(m, output):
-            t, q = schur(m, output=output)
-            return t * np.exp(1j * shift), q
-
-        monkeypatch.setattr(scipy.linalg, "schur", shifted)
+        # every eigenphase off by `shift`, so the reconstruction is off by about as much: the
+        # route reads each phase through np.angle, and the pole too, so that the order holds
         u = oc.random_unitary(4, substream(11, 7))
+        angle = np.angle
+        monkeypatch.setattr(np, "angle", lambda z: angle(z) + shift)
         if fails:
             with pytest.raises(ValidationError, match="failed to reconstruct"):
                 oc.spectral_decompose_unitary(u)
         else:
             assert oc.max_abs(oc.spectral_decompose_unitary(u).reconstruct() - u.mat) <= oc.TAU_RECON
 
-    @pytest.mark.parametrize("zero", [-5e-9, -2e-9, -1e-17, -1e-15, 0.0, 1e-15])
+    @pytest.mark.parametrize("zero", [-5e-9, -2e-9, -1e-17, -1e-15, 0.0, 1e-50, 1e-15, 5e-9])
     def test_zero_eigenphase_is_reported_as_zero(self, zero):
-        # a circular mean a few ulps below 2*pi is the zero phase, so it sorts first; one
-        # further below keeps its value, which the reconstruction check still accepts
+        # a circular mean within TAU_RECON / 2 of 0, on either side of the circle, is the zero
+        # phase, so it sorts first; one further off keeps its value, which the reconstruction
+        # check still accepts
         u = oc.UnitaryOperator.from_matrix(np.diag(np.exp(1j * np.array([2.5, zero, 1.0]))))
         sd = oc.spectral_decompose_unitary(u)
         assert oc.max_abs(sd.reconstruct() - u.mat) <= oc.TAU_RECON
         (phi,) = [x for x in sd.phases if min(abs(x - 1.0), abs(x - 2.5)) > 0.1]
-        if -oc.TAU_RECON / 2 <= zero <= 0:
+        if abs(zero) <= oc.TAU_RECON / 2:
             assert phi == 0.0 and sorted(sd.phases)[0] == 0.0
         else:
             assert phi == pytest.approx(zero % oc.TWO_PI, abs=1e-15)
+
+    @pytest.mark.parametrize("centre", [4e-10, -4e-10])
+    def test_zero_snap_yields_to_the_reconstruction(self, centre):
+        # a pair spread +-8e-10 about `centre` reconstructs at its mean (residual 8e-10) but
+        # not at 0.0 (1.2e-9), so its phase keeps its value
+        u = oc.UnitaryOperator.from_matrix(np.diag(np.exp(1j * (centre + np.array([-8e-10, 8e-10, 2.0])))))
+        sd = oc.spectral_decompose_unitary(u)
+        (phi,) = [x for x, rank in zip(sd.phases, sd.projectors.ranks()) if rank == 2]
+        assert phi == pytest.approx(centre % oc.TWO_PI, abs=1e-15)
+        assert oc.max_abs(sd.reconstruct() - u.mat) <= oc.TAU_RECON
+
+    @pytest.mark.parametrize("family", ["copy-demo", *CRAFTED])
+    def test_matches_the_schur_oracle(self, family):
+        for u in oracle_unitaries(family):
+            want, want_residual = schur_oracle(u)
+            if want_residual > oc.TAU_RECON:
+                with pytest.raises(ValidationError, match="failed to reconstruct"):
+                    oc.spectral_decompose_unitary(oc.UnitaryOperator.from_matrix(u))
+                continue
+            sd = oc.spectral_decompose_unitary(oc.UnitaryOperator.from_matrix(u))
+            got = sorted(zip(sd.phases, sd.projectors.ranks()))
+            assert [r for _, r in got] == [r for _, r in want]
+            moved = np.abs(np.array([p for p, _ in got]) - [p for p, _ in want])
+            assert np.minimum(moved, oc.TWO_PI - moved).max() <= 1e-13
+            q, sizes = sd.projectors.range_basis
+            weights = np.repeat(np.exp(1j * np.array(sd.phases)), sizes)
+            assert oc.max_abs((q * weights) @ q.conj().T - u) <= want_residual + 1e-13
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
@@ -637,10 +715,10 @@ class TestStackChecks:
 # Range-basis validation of projector families
 
 
-def haar_or_schur_basis(source, dim, rng):
-    """Orthonormal columns as random_projector_set (Haar) or spectral_decompose_unitary (Schur) gets them."""
-    u = oc.random_unitary(dim, rng).mat
-    return u if source == "haar" else scipy.linalg.schur(u, output="complex")[1]
+def haar_or_spectral_basis(source, dim, rng):
+    """Orthonormal columns as random_projector_set or spectral_decompose_unitary gets them."""
+    u = oc.random_unitary(dim, rng)
+    return u.mat if source == "haar" else oc.spectral_decompose_unitary(u).projectors.range_basis[0]
 
 
 def weighted_sum_of_pairs(phases, p1, p2):
@@ -653,11 +731,11 @@ def weighted_sum_of_pairs(phases, p1, p2):
 
 
 class TestRangeBasis:
-    @pytest.mark.parametrize("source", ["haar", "schur"])
+    @pytest.mark.parametrize("source", ["haar", "spectral"])
     @pytest.mark.parametrize("dim", [1, 2, 5, 8, 16, 64])
-    def test_haar_and_schur_families_pass_both_checks(self, source, dim):
+    def test_haar_and_spectral_families_pass_both_checks(self, source, dim):
         rng = substream(13, dim)
-        q = haar_or_schur_basis(source, dim, rng)
+        q = haar_or_spectral_basis(source, dim, rng)
         sizes = [1] * dim if dim <= 8 else oc.random_block_sizes(dim, rng)
         assert oc.orthonormal_columns(q)
         fam = oc.ProjectorSet.from_blocks(q, sizes)
@@ -665,12 +743,12 @@ class TestRangeBasis:
         assert old_projector_message(fam.projectors) is None
         assert message_of(lambda: oc.ProjectorSet(fam.projectors)) is None
 
-    @pytest.mark.parametrize("source", ["haar", "schur"])
+    @pytest.mark.parametrize("source", ["haar", "spectral"])
     @pytest.mark.parametrize("dim", [2, 5, 8])
     @pytest.mark.parametrize("kind", ["idempotence", "orthogonality"])
     def test_near_misses_rejected_by_both_checks(self, source, dim, kind):
         rng = substream(14, dim)
-        q = haar_or_schur_basis(source, dim, rng).copy()
+        q = haar_or_spectral_basis(source, dim, rng).copy()
         sizes = [1] * dim
         if kind == "idempotence":
             # P_0 -> (1 + delta) P_0, so P_0^2 - P_0 = delta (1 + delta) P_0
@@ -691,7 +769,7 @@ class TestRangeBasis:
     @pytest.mark.parametrize("dim", [2, 5, 8])
     def test_gram_bound_implies_pairwise_bounds(self, dim):
         # a basis just inside the Gram bound, in the worst direction for each check
-        q = haar_or_schur_basis("haar", dim, substream(15, dim)).copy()
+        q = haar_or_spectral_basis("haar", dim, substream(15, dim)).copy()
         edge = 0.99 * oc.TAU_PROJ / (2 * dim)
         q[:, 0] *= np.sqrt(1 + edge)
         q[:, 2 % dim] += edge * q[:, 1]
@@ -703,7 +781,7 @@ class TestRangeBasis:
         with pytest.raises(ValidationError, match="does not split into blocks"):
             oc.ProjectorSet.from_blocks(np.eye(3), [1, 1])
         for dim in (2, 3, 8):
-            q = np.eye(dim) if dim == 3 else haar_or_schur_basis("haar", dim, substream(18, dim))
+            q = np.eye(dim) if dim == 3 else haar_or_spectral_basis("haar", dim, substream(18, dim))
             for bad in (np.nan, np.inf):
                 q_bad = q.copy()
                 q_bad[0, -1] = bad
@@ -733,11 +811,11 @@ class TestRangeBasis:
         assert not any(p.flags.writeable for p in projs)
         np.testing.assert_array_equal(np.array(copy.deepcopy(fam).projectors), expected)
 
-    @pytest.mark.parametrize("source", ["haar", "schur"])
+    @pytest.mark.parametrize("source", ["haar", "spectral"])
     @pytest.mark.parametrize("dim", [2, 8, 16, 64])
     def test_unchecked_defects_stay_far_inside_tolerance(self, source, dim):
         rng = substream(17, dim)
-        q = haar_or_schur_basis(source, dim, rng)
+        q = haar_or_spectral_basis(source, dim, rng)
         for sizes in ([1] * dim, oc.random_block_sizes(dim, rng)):
             p = np.array(oc.ProjectorSet.from_blocks(q, sizes).projectors)
             assert oc.max_abs(p - oc.dagger(p)) <= oc.TAU_PROJ / 100
