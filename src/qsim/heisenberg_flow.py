@@ -351,46 +351,43 @@ def _atom_order_key(p: np.ndarray) -> tuple:
     return tuple(-np.concatenate([np.diag(r).real, r.real.ravel(), r.imag.ravel()]))
 
 
-def _null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of a tall matrix m, and the rows spanning its null space.
+def _null_space(m: np.ndarray, cut: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of a tall matrix m, and the rows spanning its null space (s < cut).
 
     The triangular factor R of m = QR has m's singular values and right
     singular vectors, so only R, as large as m is wide, goes to the SVD.
     """
     _, s, vh = np.linalg.svd(np.linalg.qr(m, mode="r"))
-    return s, vh[s < 1e-10]
+    return s, vh[s < cut]
 
 
-def _s1_commutators(u: UnitaryOperator) -> np.ndarray:
-    """(D^2, d1^2) matrix whose column (i, j) is the flattened [E_ij x I, U].
-
-    That is U s1_drift(E_ij), so it has the drift matrix's singular values
-    and null space.  With u4[a, b, c, e] = U[(a, b), (c, e)] its entries are
-    delta_ai u4[j, b, c, e] - delta_cj u4[a, b, i, e]: indexing, no products.
+def _fixed_s1_operator_space(u: UnitaryOperator) -> tuple[np.ndarray, float]:
+    """Orthonormal Hermitian basis (k, d1, d1) of {A : U-dagger (A x I) U = A x I}, and the
+    smallest ||[A x I, U]|| it sees outside it.  Those A are the fixed points of the unital
+    channel Phi(A) = sum_be U_be-dagger A U_be / d2, whose Kraus operators are the d1 x d1
+    blocks U_be of U: the null space of S - I, S = sum_be U_be-dagger x U_be^T / d2 on vec(A).
     """
-    d1, d2 = u.layout.factor_dims
-    u4 = u.mat.reshape(d1, d2, d1, d2)
-    m = np.zeros((d1, d1, d1, d2, d1, d2), dtype=complex)
-    idx = np.arange(d1)
-    m[idx, :, idx] = u4
-    m[:, idx, :, :, idx] -= u4.transpose(2, 0, 1, 3)
-    return m.reshape(d1 * d1, -1).T
-
-
-def _fixed_s1_operator_space(u: UnitaryOperator) -> np.ndarray:
-    """Orthonormal Hermitian basis (k, d1, d1) of {A : U-dagger (A x I) U = A x I}."""
     if u.layout.n_factors != 2:
         raise UsageError("copiable-family analysis needs a two-factor layout")
-    d1 = u.layout.factor_dims[0]
-    _, null = _null_space(_s1_commutators(u))
-    basis = null.conj().reshape(-1, d1, d1)
+    d1, d2 = u.layout.factor_dims
+    x = u.mat.reshape(d1, d2, d1, d2).transpose(0, 2, 1, 3).reshape(d1 * d1, -1)  # U_be[a, c]
+    s = (x.conj() @ x.T).reshape(d1, d1, d1, d1).transpose(1, 3, 0, 2).reshape(d1 * d1, -1) / d2
+    _, sv, vh = np.linalg.svd(s - np.eye(d1 * d1))
+    # ||A - Phi(A)|| <= ||[A x I, U]|| / sqrt(d2): this loose cut keeps all that a 1e-10 cut on
+    # the commutators calls null.  Re <A, A - Phi(A)> = ||[A x I, U]||^2 / (2 d2) can be far
+    # smaller, so the 1e-10 cut on the drift U-dagger [A x I, U] of these candidates decides
+    cand = vh[sv < 1e-4].conj()
+    s_drift, null = _null_space(s1_drift(u, cand.reshape(-1, d1, d1)).reshape(len(cand), -1).T)
+    basis = (cand if len(null) == len(cand) else null.conj() @ cand).reshape(-1, d1, d1)
+    # the smallest commutator outside: sqrt(d2) ||(S - I) A|| off the candidates, drift on them
+    gap = min([np.inf, *np.sqrt(d2) * sv[sv >= 1e-4], *s_drift[s_drift >= 1e-10]])
     # the fixed space is *-closed, so the Hermitian parts of its basis span a
     # real space of the same dimension k; as real vectors (real parts, then
     # imaginary parts), its top k right singular vectors are orthonormal
     herm = np.concatenate([basis + dagger(basis), (basis - dagger(basis)) / 1j]) / 2
     flat = herm.reshape(len(herm), -1)
     vh = np.linalg.svd(np.hstack([flat.real, flat.imag]), full_matrices=False)[2][: len(basis)]
-    return (vh[:, : d1 * d1] + 1j * vh[:, d1 * d1 :]).reshape(-1, d1, d1)
+    return (vh[:, : d1 * d1] + 1j * vh[:, d1 * d1 :]).reshape(-1, d1, d1), gap
 
 
 def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
@@ -408,23 +405,27 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
     to 9 decimals.  So |0><0| precedes |1><1|, and |+><+| precedes |-><-|.
     """
     d1 = u.layout.factor_dims[0]
-    fixed = _fixed_s1_operator_space(u)
+    fixed, gap = _fixed_s1_operator_space(u)
     if len(fixed) >= d1 * d1:
         return CopiableFamilies((), only_trivial=False, degenerate_identity=True)
     # center of the fixed algebra: fixed elements commuting with all of it;
     # column k of m stacks the commutators [H_k, G] over every G
     comm = fixed[:, None] @ fixed[None, :] - fixed[None, :] @ fixed[:, None]
     m = comm.reshape(len(fixed), -1).T
-    # real coefficient vectors x with sum_k x_k [H_k, G] = 0 for all G
-    _, null = _null_space(np.vstack([m.real, m.imag]))
+    # real x with sum_k x_k [H_k, G] = 0 for all G, to the fixed basis' accuracy of ~1e-15 / gap
+    _, null = _null_space(np.vstack([m.real, m.imag]), max(1e-10, 1e-13 / gap))
     if not len(null):
         raise AnalysisError("center solve found no central element, not even the identity")
     # deterministic generic element of the center, basis from the smallest s up
     center = weighted_sum(null[::-1], fixed)
     g = weighted_sum(np.cos(np.arange(1, len(center) + 1) * 1.7), center)
-    g = (g + dagger(g)) / 2
     evals, evecs = np.linalg.eigh(g)
-    projs = [evecs[:, s] @ dagger(evecs[:, s]) for s in eigenspaces(evals, 1e-7)]
+    # g's eigenvectors are only as accurate as its eigenvalue gaps allow; sum_k k P_k over its
+    # eigenspaces P_k, projected onto the orthonormal center, has gaps of 1 and the same atoms
+    k = np.cumsum(np.diff(evals, prepend=evals[0]) > 1e-7)
+    h = weighted_sum(np.einsum("kij,ji->k", center, (evecs * k) @ dagger(evecs)).real, center)
+    evals, evecs = np.linalg.eigh(h)
+    projs = [evecs[:, s] @ dagger(evecs[:, s]) for s in eigenspaces(evals, 0.5)]
     try:
         family = ProjectorSet(tuple(sorted(projs, key=_atom_order_key)))
     except ValidationError as exc:

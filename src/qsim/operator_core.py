@@ -529,18 +529,19 @@ def support_projector(m: np.ndarray) -> np.ndarray:
 def spectral_decompose_unitary(u: UnitaryOperator) -> SpectralDecomposition:
     """U = sum_a exp(i phi_a) P_a with distinct clustered eigenphases.
 
-    A Cayley transform turns U into a Hermitian matrix with the same eigenvectors.  Its
-    pole p sits in the middle of the widest gap between U's eigenphases, so at least pi/d
-    from each; then V = -exp(-ip) U has ||(I + V)^-1|| <= 1/(2 sin(pi/2d)), and the
-    eigenvalues -cot((phi - p)/2) of C = i (I + V)^-1 (I - V) ascend with (phi - p) mod 2pi.
-    No cluster wraps around the pole, so the clusters are runs of eigh's order, the order
-    in which the phases are returned.
+    A Cayley transform turns U into a Hermitian matrix with the same eigenvectors.  Its pole
+    p is the arccos of the middle of the widest gap between the cosines of U's eigenphases,
+    eigvalsh((U + U-dagger)/2), padded with -1 and 1; that gap is at least 2/(d + 1) wide, so
+    every eigenvalue lies a chord of at least 1/(d + 1) from exp(ip).  Then V = -exp(-ip) U
+    has ||(I + V)^-1|| <= d + 1, and the eigenvalues -cot((phi - p)/2) of C = i (I + V)^-1
+    (I - V) ascend with (phi - p) mod 2pi.  No cluster wraps around the pole, so the
+    clusters are runs of eigh's order, the order in which the phases are returned.
     """
     m = np.asarray(u.mat)
     eye = np.eye(m.shape[0])
-    eig_phases = np.sort(np.angle(np.linalg.eigvals(m)) % TWO_PI)
-    gaps = np.diff(eig_phases, append=eig_phases[0] + TWO_PI)
-    pole = eig_phases[np.argmax(gaps)] + gaps.max() / 2
+    cosines = np.concatenate([[-1.0], np.linalg.eigvalsh((m + dagger(m)) / 2), [1.0]])
+    gaps = np.diff(cosines)
+    pole = np.arccos(cosines[np.argmax(gaps)] + gaps.max() / 2)
     v = -np.exp(-1j * pole) * m
     c = 1j * np.linalg.solve(eye + v, eye - v)
     _, q = np.linalg.eigh((c + dagger(c)) / 2)

@@ -274,7 +274,7 @@ class TestSpectralDecomposition:
     @pytest.mark.parametrize("shift, fails", [(1e-11, False), (1e-7, True)])
     def test_reconstruction_check(self, monkeypatch, shift, fails):
         # every eigenphase off by `shift`, so the reconstruction is off by about as much: the
-        # route reads each phase through np.angle, and the pole too, so that the order holds
+        # route reads each phase through np.angle
         u = oc.random_unitary(4, substream(11, 7))
         angle = np.angle
         monkeypatch.setattr(np, "angle", lambda z: angle(z) + shift)
