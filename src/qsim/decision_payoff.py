@@ -78,6 +78,8 @@ def expected_payoff(v: RelativeState, a: PayoffObservable) -> float:
 
 def outcome_weights(v: RelativeState, ps: ProjectorSet) -> np.ndarray:
     """Branch weights tr(rho_v P_k), clamped against rounding noise."""
+    if v.dim != ps.dim:
+        raise UsageError(f"state dim {v.dim} != projector family dim {ps.dim}")
     rho = v.as_density()
     w = np.array([np.trace(rho @ p).real for p in ps.projectors])
     w = np.clip(w, 0.0, None)

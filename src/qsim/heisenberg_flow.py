@@ -166,6 +166,8 @@ def conjugate_dyadic(x_cd: np.ndarray, sd: SpectralDecomposition) -> np.ndarray:
     c = d or when the two eigenphases are degenerate (already clustered).
     """
     x_cd = as_matrix(x_cd, "dyadic")
+    if x_cd.shape[0] != sd.projectors.dim:
+        raise UsageError(f"dyadic dim {x_cd.shape[0]} != decomposition dim {sd.projectors.dim}")
     scale = max_abs(x_cd)
     if scale == 0.0:
         raise AnalysisError("zero dyadic is not aligned with any eigenspace pair")
@@ -191,6 +193,8 @@ def s1_drift(u: UnitaryOperator, ops: np.ndarray) -> np.ndarray:
 
 def check_invariance(obs: ObservableSpec, ci: CopyInteraction) -> InvarianceResult:
     """Does the interaction leave A x I unchanged?"""
+    if obs.projectors.dim != ci.proj1.dim:
+        raise UsageError(f"observable dim {obs.projectors.dim} != S1 dim {ci.proj1.dim}")
     residual = max_abs(s1_drift(ci.unitary, obs.matrix()))
     return InvarianceResult(residual <= 1e-9, residual)
 
@@ -397,7 +401,8 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
     are the finest invariant projector family, and every coarse-graining of
     an invariant family is again invariant.  The atoms are the eigenspaces
     of one generic center element; an AnalysisError is raised when they are
-    not an invariant projector family.
+    not an invariant projector family, or when their number is not the
+    center's dimension (so they are not its minimal projections).
 
     The atoms come in a canonical order, independent of the null-space basis
     LAPACK returns: descending by their diagonal, ties broken descending by
@@ -433,6 +438,8 @@ def copiable_projector_families(u: UnitaryOperator) -> CopiableFamilies:
     drift = max_abs(s1_drift(u, np.array(family.projectors)))
     if drift > 1e-9:
         raise AnalysisError(f"center atoms drift by {drift:.3g} under the interaction")
+    if len(family) != len(center):  # a k-dim commutative algebra has k minimal projections
+        raise AnalysisError(f"atom count {len(family)} != center dim {len(center)}")
     return CopiableFamilies(
         (family,), only_trivial=len(family) == 1, degenerate_identity=False
     )

@@ -9,6 +9,7 @@ theta-family, with the per-subsystem entropy change they induce.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -282,8 +283,8 @@ DECOHERENCE_DIMS = (2, 8)  # smallest and largest dim of a random decoherence tr
 def decoherence_margins(seed: int, trials: int) -> np.ndarray:
     """S(sum_k P_k rho P_k) - S(rho) of `trials` random ragged trials, in trial order.
 
-    Trial t draws with the bits of substream(seed, t), through one
-    re-keyed generator per block (rng.trial_generators): its dim d in
+    Trial t draws with the bits of substream(seed, t), through one walk
+    of the trial stream (rng.trial_generators): its dim d in
     DECOHERENCE_DIMS, the rank r of rho = G G-dagger / tr with G a d x r
     complex Gaussian, its block sizes, and the Ginibre matrix of the Haar
     unitary whose column blocks span the projectors P_k.  Each Gaussian is
@@ -301,19 +302,20 @@ def decoherence_margins(seed: int, trials: int) -> np.ndarray:
     ProjectorSet), so they reject the same trial with the same message.
     Every operation acts on each trial alone, so a margin has the bits of
     one trial run alone.  Trials run in trial_blocks, so memory is bounded
-    by the block, not by `trials`.
+    by the block, not by `trials`; one walk runs on across the blocks.
     """
     margins = np.empty(trials)
+    gens = trial_generators(seed, 0, trials)
     for block in trial_blocks(trials, DECOHERENCE_DIMS[1]):
-        _decoherence_block(seed, block, margins)
+        _decoherence_block(block, gens, margins)
     return margins
 
 
-def _decoherence_block(seed: int, block: range, margins: np.ndarray) -> None:
-    """margins[t] for the trials t in `block`, grouped as decoherence_margins describes."""
+def _decoherence_block(block: range, gens: Iterator, margins: np.ndarray) -> None:
+    """margins[t] for the trials t in `block`, from the walk `gens`, as decoherence_margins says."""
     lo, hi = DECOHERENCE_DIMS
     groups: dict[int, list] = {}
-    for t, rng in zip(block, trial_generators(seed, block.start, len(block))):
+    for t, rng in zip(block, gens):  # block first: zip stops without drawing past it
         # trial t's draws, in order: dim, rank, G pair, block sizes, Ginibre pair
         d = int(rng.integers(lo, hi + 1))
         rank = int(rng.integers(1, d + 1))

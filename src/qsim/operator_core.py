@@ -475,10 +475,7 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; entry ((i1 i2),(j1 j2)) = a[i1,j1] * b[i2,j2]."""
     a = as_matrix(a, "tensor factor a")
     b = as_matrix(b, "tensor factor b")
-    if a.shape[0] * b.shape[0] > MAX_TOTAL_DIM:
-        raise CapacityError(
-            f"tensor product dim {a.shape[0] * b.shape[0]} exceeds maximum {MAX_TOTAL_DIM}"
-        )
+    SubsystemLayout((a.shape[0], b.shape[0]))  # raises CapacityError above the total-dim cap
     return kron_stack(a, b)
 
 
@@ -681,7 +678,11 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
-    re = np.array(obj["re"], dtype=float).reshape(dim, dim)
-    im = np.array(obj["im"], dtype=float).reshape(dim, dim)
-    return re + 1j * im
+    try:
+        dim = int(obj["dim"])
+    except (TypeError, ValueError):
+        raise UsageError(f"matrix dim {obj['dim']!r} is not an integer") from None
+    re, im = (np.array(obj[k], dtype=float) for k in ("re", "im"))
+    if dim < 1 or re.size != dim * dim or im.size != dim * dim:
+        raise UsageError(f"re, im sizes {re.size}, {im.size} != matrix dim {dim} squared")
+    return re.reshape(dim, dim) + 1j * im.reshape(dim, dim)

@@ -245,28 +245,26 @@ def _sweep_ds(cfg: ScenarioConfig, sweep: tuple[float, ...]) -> np.ndarray:
     weights first (unless uniform), then the normals of its rotation
     generator (only when epsilon_i > 0), so a row does not depend on the
     sweep's shape.  The (row, trial) index runs flattened in trial blocks,
-    each one stack with one re-keyed generator per row segment, one
-    perturbed_lams and one select_stack.
+    each one stack with one perturbed_lams and one select_stack; one walk
+    per trial stream (row) gives the generators, so blocks only cut stacks.
     """
     d1, d2 = cfg.dims
     d, n = d1 * d2, cfg.trials
     eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
+    gens = (g for row in range(len(sweep)) for g in trial_generators(cfg.seed + row, 0, n))
     ds = np.empty((2, len(sweep) * n))
     for block in oc.trial_blocks(len(sweep) * n, d):
+        rows, trials = np.divmod(np.arange(block.start, block.stop), n)
         p = np.full((len(block), d1, d2), 1.0 / d)
         normals = np.empty((len(block), d, d))  # read only where epsilon > 0
-        j = 0
-        for row in range(block.start // n, (block.stop - 1) // n + 1):
-            t0, t1 = max(block.start - row * n, 0), min(block.stop - row * n, n)
-            for rng in trial_generators(cfg.seed + row, t0, t1 - t0):
-                if not cfg.uniform_weights:
-                    rng.random(out=p[j])
-                if sweep[row] > 0:
-                    rng.standard_normal(out=normals[j])
-                j += 1
+        # gens last: zip stops at the block's end without drawing the next trial's generator
+        for j, (row, rng) in enumerate(zip(rows.tolist(), gens)):
+            if not cfg.uniform_weights:
+                rng.random(out=p[j])
+            if sweep[row] > 0:
+                rng.standard_normal(out=normals[j])
         if not cfg.uniform_weights:
             p /= p.reshape(len(block), -1).sum(axis=1)[:, None, None]
-        rows, trials = np.divmod(np.arange(block.start, block.stop), n)
         lam = ke.perturbed_lams((d1, d2), np.asarray(sweep)[rows], normals, trials=trials)
         sel = ke.select_stack(p, lam, eye1, eye2, trials=trials)
         ds[:, block.start : block.stop] = sel.ds1, sel.ds2

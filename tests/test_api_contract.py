@@ -1,8 +1,8 @@
 """Python-API contract for bad inputs, in the spirit of test_cli_contract.py.
 
 NaN, inf, zero, overflowing and wrong-length inputs to the selection layer and to every
-entry point that normalises a ket must raise a QsimError whose message
-names the bad input: never numpy's LinAlgError or ValueError, and never a
+entry point that normalises a ket, and operands of mismatched dims, must raise a QsimError
+whose message names the bad input: never numpy's LinAlgError or ValueError, and never a
 warning.
 """
 
@@ -52,6 +52,9 @@ def copy_phases(phases):
     return lambda: hf.build_copy_unitary(phases, oc.computational_projectors(2), oc.computational_projectors(2))
 
 
+V3 = dp.RelativeState.from_ket([1.0, 0.0, 0.0])
+OBS2 = dp.PayoffObservable((1.0, 0.0), oc.computational_projectors(2))
+OBS3 = hf.ObservableSpec((1.0, 0.0, 0.0), oc.computational_projectors(3))
 WEIGHTS = np.full((N, 2, 2), 0.25)
 NORMALS = np.ones((N, 4, 4)) + np.arange(16).reshape(4, 4)  # n - n^T != 0
 CASES = [
@@ -102,6 +105,19 @@ CASES = [
      r"^phase matrix contains non-finite entries$"),
     ("copy-phases-inf-gauge", copy_phases(spoil(np.zeros((2, 2)), np.inf, (0, 0))),
      r"^phase matrix contains non-finite entries$"),  # the gauge shift gives inf - inf
+    ("frequency-dim", lambda: dp.frequency_experiment(V3, OBS2, 10, 1),
+     r"^state dim 3 != projector family dim 2$"),
+    ("outcome-weights-dim", lambda: dp.outcome_weights(V3, OBS2.projectors),
+     r"^state dim 3 != projector family dim 2$"),
+    ("invariance-dim", lambda: hf.check_invariance(OBS3, hf.cnot_interaction()),
+     r"^observable dim 3 != S1 dim 2$"),
+    ("dyadic-dim",
+     lambda: hf.conjugate_dyadic(EYE, oc.spectral_decompose_unitary(hf.cnot_interaction().unitary)),
+     r"^dyadic dim 2 != decomposition dim 4$"),
+    ("json-length", lambda: oc.matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]}),
+     r"^re, im sizes 1, 1 != matrix dim 2 squared$"),
+    ("json-dim", lambda: oc.matrix_from_json({"dim": "x", "re": [1.0], "im": [0.0]}),
+     r"^matrix dim 'x' is not an integer$"),
     *ket_cases(
         "from-ket",
         dp.RelativeState.from_ket,

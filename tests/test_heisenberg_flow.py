@@ -321,6 +321,20 @@ class TestCopiableFamilies:
         with pytest.raises(AnalysisError, match="not a projector family"):
             hf.copiable_projector_families(u)
 
+    def test_merged_atoms_raise(self, monkeypatch):
+        """Two merged atoms still form an invariant family; only the center's dim shows it."""
+        real = hf.eigenspaces
+
+        def merging(evals, gap):
+            first, second, *rest = real(evals, gap)
+            return [slice(first.start, second.stop), *rest]
+
+        u = copy_demo_interaction(3, 1).unitary
+        assert hf.copiable_projector_families(u).families[0].ranks() == (1, 1, 1)
+        monkeypatch.setattr(hf, "eigenspaces", merging)
+        with pytest.raises(AnalysisError, match=r"^atom count 2 != center dim 3$"):
+            hf.copiable_projector_families(u)
+
 
 def copy_demo_interaction(d, seed, d2=None):
     """The copy-demo construction for --dims d,d (or d,d2)."""

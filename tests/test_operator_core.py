@@ -48,7 +48,7 @@ class TestTensorProduct:
 
     def test_capacity_error(self):
         big = np.eye(16, dtype=complex)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"^total dim 128 exceeds maximum 64$"):
             oc.tensor_product(big, np.eye(8, dtype=complex))
 
     @pytest.mark.parametrize("da, db", [(1, 1), (1, 8), (2, 3), (3, 2), (4, 4), (8, 8)])

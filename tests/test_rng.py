@@ -213,17 +213,26 @@ def count_philox(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("per_block", [None, 7])
-def test_decoherence_builds_one_philox_per_trial_block(monkeypatch, per_block):
+def test_decoherence_builds_one_philox_per_trial_stream(monkeypatch, per_block):
     if per_block:
         monkeypatch.setattr(oc, "STACK_ELEMENTS", per_block * 64)
     blocks = len(list(oc.trial_blocks(600, ke.DECOHERENCE_DIMS[1])))
     built = count_philox(monkeypatch)
     ke.decoherence_margins(4, 600)
-    assert len(built) == blocks == (1 if per_block is None else 86)
+    assert blocks == (1 if per_block is None else 86)
+    assert len(built) == 1  # one walk, however many blocks cut it
 
 
-def test_second_law_builds_one_philox_per_row_block(monkeypatch):
+SWEEP = ScenarioConfig("second-law", seed=3, trials=300, epsilon_sweep=(0.0, 0.1, 0.2))
+
+
+@pytest.mark.parametrize("per_block", [None, 200])
+def test_second_law_builds_one_philox_per_trial_stream(monkeypatch, per_block):
+    whole = run_scenario(SWEEP).results_payload()
+    if per_block:
+        monkeypatch.setattr(oc, "STACK_ELEMENTS", per_block * 16)  # trials of dim 4 per block
+    blocks = [len(b) for b in oc.trial_blocks(900, 4)]
     built = count_philox(monkeypatch)
-    cfg = ScenarioConfig("second-law", seed=3, trials=300, epsilon_sweep=(0.0, 0.1, 0.2))
-    assert run_scenario(cfg).exit_code == 0
-    assert len(built) == 3  # three rows of one trial block each
+    assert run_scenario(SWEEP).results_payload() == whole
+    assert blocks == ([900] if per_block is None else [200, 200, 200, 200, 100])
+    assert len(built) == 3  # one walk per row, however the blocks cut the rows (into 6 at 200)
