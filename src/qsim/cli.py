@@ -102,7 +102,7 @@ def _or_null(ok):
 CONFIG_FILE_TYPES = {
     "seed": ("an integer", _is_int),
     "dims": ("a list of integers", _is_list_of(_is_int)),
-    "trials": ("an integer", _is_int),
+    "trials": ("an integer or null", _or_null(_is_int)),
     "epsilon": ("a real", _is_real),
     "epsilon_sweep": ("a list of reals or null", _or_null(_is_list_of(_is_real))),
     "output_path": ("a string or null", _or_null(lambda x: isinstance(x, str))),
@@ -134,7 +134,7 @@ def read_config_file(path: str) -> dict:
     return file_cfg
 
 
-def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None]:
+def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     """Merge defaults, env, config file, and flags into a ScenarioConfig."""
     merged = dict(DEFAULTS)
     if env_seed := os.environ.get("QSIM_SEED"):
@@ -142,17 +142,11 @@ def resolve_config(args: argparse.Namespace) -> tuple[ScenarioConfig, int | None
             merged["seed"] = int(env_seed)
         except ValueError as exc:
             raise UsageError(f"QSIM_SEED must be an integer, got {env_seed!r}") from exc
-    file_cfg = read_config_file(args.config) if args.config else {}
-    merged.update(file_cfg)
+    merged.update(read_config_file(args.config) if args.config else {})
     for key in DEFAULTS:  # each flag's dest is its config key; None means not given
         if (flag := getattr(args, key)) is not None:
             merged[key] = _parse_list(flag, *LIST_FLAGS[key]) if key in LIST_FLAGS else flag
-    cfg = ScenarioConfig(scenario=args.scenario, **merged)
-    # property-suite runs registry-default counts unless trials was set explicitly
-    trials_override = None
-    if args.scenario == "property-suite" and (args.trials is not None or "trials" in file_cfg):
-        trials_override = cfg.trials
-    return cfg, trials_override
+    return ScenarioConfig(scenario=args.scenario, **merged)
 
 
 def _fail(kind: str, message, code: int) -> int:
@@ -164,8 +158,8 @@ def _fail(kind: str, message, code: int) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg, trials_override = resolve_config(build_parser().parse_args(argv))
-        report = run_scenario(cfg, trials_override)
+        cfg = resolve_config(build_parser().parse_args(argv))
+        report = run_scenario(cfg)
     except CapacityError as exc:
         return _fail("capacity error", exc, 3)
     except UsageError as exc:

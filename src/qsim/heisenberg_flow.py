@@ -505,9 +505,9 @@ def branch_decomposition(
     branches; S1 sees the off-diagonal blocks with S2 traced out, and S2
     sees the off-diagonal blocks of its reduced state in its copied basis.
     """
-    rho_out = evolve_state(
-        DensityMatrix(ci.layout, rho_initial.mat), ci.unitary
-    )
+    if (d := rho_initial.dim) != ci.layout.total_dim:  # a DensityMatrix is checked already
+        raise ValidationError(f"density matrix dim {d} != layout total {ci.layout.total_dim}")
+    rho_out = evolve_state(DensityMatrix.from_checked(ci.layout, rho_initial.mat), ci.unitary)
     sectors = copied_sectors(ci.phases, ci.proj1)
     dims = ci.layout.factor_dims
     q = kron_stack(np.array([p for _, p in sectors]), np.eye(dims[1], dtype=complex))

@@ -149,7 +149,7 @@ def _mixtures(p: np.ndarray, kets: np.ndarray) -> np.ndarray:
 def build_knowledge_state(p_ab: np.ndarray, dims: tuple[int, int]) -> KnowledgeState:
     """Knowledge state over the computational bases of the two factors."""
     p = np.asarray(p_ab, dtype=float)
-    d1, d2 = SubsystemLayout((int(dims[0]), int(dims[1]))).factor_dims  # capacity check first
+    d1, d2 = SubsystemLayout((dims[0], dims[1])).factor_dims  # capacity check first
     na, nb = p.shape if p.ndim == 2 else (0, 0)  # KnowledgeState rejects any other ndim
     b1 = np.eye(d1, dtype=complex)[:, :na]
     b2 = np.eye(d2, dtype=complex)[:, :nb]
@@ -304,6 +304,8 @@ def decoherence_margins(seed: int, trials: int) -> np.ndarray:
     one trial run alone.  Trials run in trial_blocks, so memory is bounded
     by the block, not by `trials`; one walk runs on across the blocks.
     """
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
     margins = np.empty(trials)
     gens = trial_generators(seed, 0, trials)
     for block in trial_blocks(trials, DECOHERENCE_DIMS[1]):
@@ -542,7 +544,7 @@ def perturbed_lams(dims: tuple[int, int], epsilon, normals: np.ndarray, trials=N
     rotation that is not finite (an angle epsilon w past 1e308) or not real
     name their trial, numbered by `trials` (default: the stack index).
     """
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = SubsystemLayout((dims[0], dims[1])).factor_dims  # capacity check first
     d = d1 * d2
     normals = np.asarray(normals)
     eps = np.asarray(epsilon, dtype=float)
@@ -584,7 +586,7 @@ def perturb_selection(
 
     rng draws the (d, d) normals only when epsilon > 0.
     """
-    d = int(dims[0]) * int(dims[1])
+    d = SubsystemLayout((dims[0], dims[1])).total_dim  # capacity check first
     normals = rng.standard_normal((1, d, d)) if epsilon > 0 else np.empty((1, d, d))
     return ThetaFamily(perturbed_lams(dims, epsilon, normals)[0])
 

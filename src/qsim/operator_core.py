@@ -63,6 +63,17 @@ def as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_int(x, name: str) -> int:
+    """x as an int when it is an integral number (numpy integers and 3.0 too, not bools)."""
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            if (i := int(x)) == x:
+                return i
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"{name} {x!r} is not an integer")
+
+
 def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
     return max_abs(m - dagger(m)) <= tol
 
@@ -78,7 +89,7 @@ class SubsystemLayout:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(as_int(d, "factor dim") for d in self.factor_dims)
         object.__setattr__(self, "factor_dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise ValidationError(f"factor dims must be positive, got {dims}")
@@ -99,7 +110,7 @@ class SubsystemLayout:
         return len(self.factor_dims)
 
     def validate_indices(self, keep: Iterable[int]) -> tuple[int, ...]:
-        keep = tuple(sorted(set(int(k) for k in keep)))
+        keep = tuple(sorted(set(as_int(k, "subsystem index") for k in keep)))
         if not keep:
             raise UsageError("subsystem index set must be nonempty")
         if any(k < 0 or k >= self.n_factors for k in keep):
@@ -135,7 +146,9 @@ class DensityMatrix:
 
     @classmethod
     def from_checked(cls, layout: SubsystemLayout, mat: np.ndarray) -> "DensityMatrix":
-        """Wrap a (d, d) matrix of a stack that check_density_stack has passed, unchecked."""
+        """Wrap, unchecked, a (d, d) matrix that is a state already: one of a stack that
+        check_density_stack has passed, another DensityMatrix's, or one valid by
+        construction, such as the outer product of a unit ket."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "layout", layout)
         object.__setattr__(rho, "mat", _freeze(mat))
@@ -150,8 +163,10 @@ class DensityMatrix:
 
     @staticmethod
     def pure(ket: np.ndarray, layout: SubsystemLayout | None = None) -> "DensityMatrix":
+        # |v><v| of a unit v is a state: Hermitian, rank 1, trace 1 to within d ulps
         ket = unit_ket(ket, "ket", None if layout is None else layout.total_dim)
-        return DensityMatrix.from_matrix(np.outer(ket, ket.conj()), layout)
+        layout = single_layout(ket.size) if layout is None else layout
+        return DensityMatrix.from_checked(layout, np.outer(ket, ket.conj()))
 
 
 def unit_ket(ket: np.ndarray, name: str = "ket", dim: int | None = None) -> np.ndarray:
@@ -678,11 +693,14 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """The matrix of a matrix_to_json dict; anything that it never writes is refused by name."""
+    if missing := [k for k in ("dim", "re", "im") if k not in obj]:
+        raise UsageError(f"matrix JSON has no {', '.join(missing)}")
+    dim = as_int(obj["dim"], "matrix dim")
     try:
-        dim = int(obj["dim"])
+        re, im = (np.array(obj[k], dtype=float) for k in ("re", "im"))
     except (TypeError, ValueError):
-        raise UsageError(f"matrix dim {obj['dim']!r} is not an integer") from None
-    re, im = (np.array(obj[k], dtype=float) for k in ("re", "im"))
+        raise UsageError("re, im entries are not all reals") from None
     if dim < 1 or re.size != dim * dim or im.size != dim * dim:
         raise UsageError(f"re, im sizes {re.size}, {im.size} != matrix dim {dim} squared")
-    return re.reshape(dim, dim) + 1j * im.reshape(dim, dim)
+    return as_matrix(re.reshape(dim, dim) + 1j * im.reshape(dim, dim))

@@ -334,12 +334,9 @@ def _p_theta_fixed(rng):
 # ---------------------------------------------------------------------------
 
 
-def run_all(
-    seed: int, trials_override: int | None = None
-) -> list[PropertyResult]:
-    """Run every registered property; trials_override scales all counts."""
+def run_all(seed: int, trials: int | None = None) -> list[PropertyResult]:
+    """Run every registered property, each at `trials` or, when None, its own count."""
     results = []
     for property_id, (default_trials, runner) in sorted(REGISTRY.items()):
-        n = trials_override if trials_override else default_trials
-        results.append(runner(seed, max(1, n)))
+        results.append(runner(seed, max(1, trials or default_trials)))
     return results

@@ -2,7 +2,8 @@
 
 Every scenario is a pure function of its configuration: identical configs
 produce byte-identical result payloads (wall time is reported outside the
-determinism contract).
+determinism contract).  A report's `config` block is that whole input, so
+`ScenarioConfig(**config)` reproduces its payload.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class ScenarioConfig:
     scenario: str
     seed: int = 1
     dims: tuple[int, ...] = (2, 2)
-    trials: int = 100
+    trials: int | None = None  # None: 100, but property-suite runs each property's own count
     epsilon: float = 0.1
     epsilon_sweep: tuple[float, ...] | None = None
     output_path: str | None = None
@@ -56,9 +57,11 @@ class ScenarioConfig:
             raise UsageError(
                 f"unknown scenario {self.scenario!r}; choose from {', '.join(SCENARIOS)}"
             )
-        if self.trials < 1:
+        if self.trials is None and self.scenario != "property-suite":
+            object.__setattr__(self, "trials", 100)
+        if self.trials is not None and self.trials < 1:
             raise UsageError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > self.MAX_TRIALS:
+        if self.trials is not None and self.trials > self.MAX_TRIALS:
             raise CapacityError(f"trials {self.trials} exceeds maximum {self.MAX_TRIALS}")
         # int-float comparisons are exact, so an int beyond the double range fails too
         if not 0 <= self.epsilon <= MAX_REAL:
@@ -130,11 +133,11 @@ def _table(header: tuple, records: list[dict], keys: tuple | None = None) -> tup
 
 
 # ---------------------------------------------------------------------------
-# Individual scenarios: each maps (config, property-suite trials override) to
+# Individual scenarios: each maps its config, the whole of its input, to
 # (results, csv rows)
 
 
-def _scenario_copy_demo(cfg: ScenarioConfig, trials_override: int | None):
+def _scenario_copy_demo(cfg: ScenarioConfig):
     if len(cfg.dims) != 2:
         raise UsageError(
             f"copy-demo needs exactly two factor dims, each >= 2, got {list(cfg.dims)}"
@@ -173,7 +176,7 @@ def _scenario_copy_demo(cfg: ScenarioConfig, trials_override: int | None):
     return results, tuple(rows)
 
 
-def _scenario_decoherence_demo(cfg: ScenarioConfig, trials_override: int | None):
+def _scenario_decoherence_demo(cfg: ScenarioConfig):
     ci = hf.cnot_interaction()
     rho0 = oc.DensityMatrix.pure(np.kron(PLUS, ZERO), ci.layout)
     bd = hf.branch_decomposition(rho0, ci)
@@ -202,7 +205,7 @@ def _worked_qubit_example():
     return v, a
 
 
-def _scenario_payoff_demo(cfg: ScenarioConfig, trials_override: int | None):
+def _scenario_payoff_demo(cfg: ScenarioConfig):
     v, a = _worked_qubit_example()
     payoff = dp.expected_payoff(v, a)
     freq = dp.frequency_experiment(v, a, cfg.trials, cfg.seed)
@@ -225,7 +228,7 @@ def _scenario_payoff_demo(cfg: ScenarioConfig, trials_override: int | None):
     return results, _table(header, results["frequencies"], ("outcome",) + header[1:])
 
 
-def _scenario_no_cloning(cfg: ScenarioConfig, trials_override: int | None):
+def _scenario_no_cloning(cfg: ScenarioConfig):
     ci = hf.cnot_interaction()
     fids = hf.no_cloning_demo([ZERO, ONE, PLUS], ci, blank=ZERO)
     names = ["|0>", "|1>", "|+>"]
@@ -282,7 +285,7 @@ def _sweep_row(epsilon: float, ds1: list, ds2: list) -> dict:
     }
 
 
-def _scenario_second_law(cfg: ScenarioConfig, trials_override: int | None):
+def _scenario_second_law(cfg: ScenarioConfig):
     if len(cfg.dims) != 2:
         raise UsageError("second-law scenario needs exactly two factors")
     epsilons = cfg.epsilon_sweep or (cfg.epsilon,)
@@ -302,10 +305,10 @@ def _scenario_second_law(cfg: ScenarioConfig, trials_override: int | None):
     return results, _table(tuple(sweep[0]), sweep)  # the CSV columns are the row keys
 
 
-def _scenario_property_suite(cfg: ScenarioConfig, trials_override: int | None):
-    results_list = properties.run_all(cfg.seed, trials_override)
-    reduced = trials_override is not None and any(
-        trials_override < properties.REGISTRY[r.property_id][0] for r in results_list
+def _scenario_property_suite(cfg: ScenarioConfig):
+    results_list = properties.run_all(cfg.seed, cfg.trials)
+    reduced = cfg.trials is not None and any(
+        cfg.trials < properties.REGISTRY[r.property_id][0] for r in results_list
     )
     results = {
         "properties": [
@@ -331,7 +334,8 @@ def _scenario_property_suite(cfg: ScenarioConfig, trials_override: int | None):
     return results, _table(header, results["properties"], keys)
 
 
-# name -> scenario, in the order of --help, usage messages and the report schema
+# name -> scenario, a function of the config alone, in the order of --help, usage
+# messages and the report schema
 SCENARIOS = {
     "copy-demo": _scenario_copy_demo,
     "decoherence-demo": _scenario_decoherence_demo,
@@ -342,14 +346,14 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, trials_override: int | None = None) -> RunReport:
+def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Run a scenario and assemble its deterministic report.
 
     The exit code is 1 when the results report a failed check
     (`all_passed` false), else 0.
     """
     start = time.perf_counter()
-    results, rows = SCENARIOS[cfg.scenario](cfg, trials_override)
+    results, rows = SCENARIOS[cfg.scenario](cfg)
     wall = (time.perf_counter() - start) * 1000.0
     return RunReport(
         scenario=cfg.scenario,

@@ -53,7 +53,7 @@ def _run(argv: list, config_file: dict | None = None):
         if config_file is not None:
             Path(tmp, "cfg.json").write_text(json.dumps(config_file))
             argv = [*argv, "--config", str(Path(tmp, "cfg.json"))]
-        return run_scenario(*cli.resolve_config(cli.build_parser().parse_args(argv)))
+        return run_scenario(cli.resolve_config(cli.build_parser().parse_args(argv)))
 
 
 def _values(payload: str) -> dict:

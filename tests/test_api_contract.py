@@ -14,6 +14,7 @@ from qsim import heisenberg_flow as hf
 from qsim import knowledge_entropy as ke
 from qsim import operator_core as oc
 from qsim.errors import QsimError
+from qsim.rng import substream
 
 N, DIMS = 3, (2, 2)
 IDEAL = ke.perturbed_lams(DIMS, 0.0, np.empty((N, 4, 4)))
@@ -57,6 +58,7 @@ OBS2 = dp.PayoffObservable((1.0, 0.0), oc.computational_projectors(2))
 OBS3 = hf.ObservableSpec((1.0, 0.0, 0.0), oc.computational_projectors(3))
 WEIGHTS = np.full((N, 2, 2), 0.25)
 NORMALS = np.ones((N, 4, 4)) + np.arange(16).reshape(4, 4)  # n - n^T != 0
+NORMALS72 = np.arange(72.0 * 72).reshape(1, 72, 72)
 CASES = [
     ("select-weights-nan", select(p=spoil(WEIGHTS, np.nan, (1, 0, 1))),
      r"^trial 1: weights must form a nonnegative matrix$"),
@@ -118,6 +120,30 @@ CASES = [
      r"^re, im sizes 1, 1 != matrix dim 2 squared$"),
     ("json-dim", lambda: oc.matrix_from_json({"dim": "x", "re": [1.0], "im": [0.0]}),
      r"^matrix dim 'x' is not an integer$"),
+    ("lams-dim-cap", lambda: ke.perturbed_lams((9, 8), 0.0, np.zeros((1, 72, 72))),
+     r"^total dim 72 exceeds maximum 64$"),
+    ("lams-dim-cap-rotated", lambda: ke.perturbed_lams((9, 8), 0.1, NORMALS72),
+     r"^total dim 72 exceeds maximum 64$"),  # checked before its 72 x 72 eigh
+    ("perturb-dim-cap", lambda: ke.perturb_selection((9, 8), 0.1, substream(1, 0)),
+     r"^total dim 72 exceeds maximum 64$"),
+    ("perturb-dim-zero", lambda: ke.perturb_selection((0, 2), 0.0, substream(1, 0)),
+     r"^factor dims must be positive, got \(0, 2\)$"),
+    ("layout-dim-fraction", lambda: oc.SubsystemLayout((2.5, 2)), r"^factor dim 2\.5 is not an integer$"),
+    ("layout-dim-text", lambda: oc.SubsystemLayout(("a", 2)), r"^factor dim 'a' is not an integer$"),
+    ("indices-fraction", lambda: oc.SubsystemLayout(DIMS).validate_indices([1.7]),
+     r"^subsystem index 1\.7 is not an integer$"),
+    ("indices-text", lambda: oc.SubsystemLayout(DIMS).validate_indices(["a"]),
+     r"^subsystem index 'a' is not an integer$"),
+    ("margins-trials", lambda: ke.decoherence_margins(1, -1), r"^trials must be >= 1, got -1$"),
+    ("json-entry-text", lambda: oc.matrix_from_json({"dim": 1, "re": ["a"], "im": [0]}),
+     r"^re, im entries are not all reals$"),
+    ("json-no-im", lambda: oc.matrix_from_json({"dim": 1, "re": [1]}), r"^matrix JSON has no im$"),
+    ("json-dim-fraction", lambda: oc.matrix_from_json({"dim": 2.7, "re": [1, 0, 0, 1], "im": [0] * 4}),
+     r"^matrix dim 2\.7 is not an integer$"),
+    ("json-dim-bool", lambda: oc.matrix_from_json({"dim": True, "re": [1.0], "im": [0.0]}),
+     r"^matrix dim True is not an integer$"),
+    ("json-nan", lambda: oc.matrix_from_json({"dim": 1, "re": [np.nan], "im": [0.0]}),
+     r"^matrix contains non-finite entries$"),
     *ket_cases(
         "from-ket",
         dp.RelativeState.from_ket,
@@ -147,3 +173,10 @@ CASES = [
 def test_bad_input_raises_a_named_qsim_error(call, pattern):
     with pytest.raises(QsimError, match=pattern):
         call()
+
+
+def test_integral_numbers_pass_as_integers():
+    # numpy integers and integral floats are integers; only the value counts
+    assert oc.SubsystemLayout((np.int64(2), 3.0)).factor_dims == (2, 3)
+    assert oc.SubsystemLayout((2, 2)).validate_indices([np.int32(1), 0.0]) == (0, 1)
+    assert oc.matrix_from_json({"dim": np.int64(1), "re": [1.0], "im": [0.0]}).shape == (1, 1)

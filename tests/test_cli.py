@@ -354,7 +354,35 @@ class TestMalformedInput:
         self.assert_refused(*run_cli(argv, capsys, monkeypatch))
 
 
+# one small run of each scenario; property-suite both at its default counts and at a given one
+ROUND_TRIPS = [
+    ["copy-demo", "--seed", "2", "--dims", "3,2"],
+    ["decoherence-demo", "--seed", "3", "--trials", "5"],
+    ["payoff-demo", "--trials", "20"],
+    ["no-cloning"],
+    ["second-law", "--trials", "5", "--epsilon-sweep", "0,0.1", "--uniform-weights"],
+    ["property-suite"],
+    ["property-suite", "--trials", "2"],
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("argv", ROUND_TRIPS, ids=" ".join)
+    def test_config_block_reproduces_payload(self, capsys, monkeypatch, tmp_path, argv):
+        # registry counts of 3 keep the default-count property-suite case short
+        small = {pid: (3, runner) for pid, (_, runner) in properties.REGISTRY.items()}
+        monkeypatch.setattr(properties, "REGISTRY", small)
+        code, out, _ = run_cli(argv, capsys, monkeypatch)
+        assert code == 0
+        doc = json.loads(out)
+        payload = json.dumps(doc["results"], sort_keys=True)
+        config = {k: v for k, v in doc["config"].items() if k != "scenario"}  # output_path is null
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code, out, _ = run_cli([argv[0], "--config", str(tmp_path / "cfg.json")], capsys, monkeypatch)
+        assert code == 0
+        assert json.dumps(json.loads(out)["results"], sort_keys=True) == payload
+        assert run_scenario(ScenarioConfig(**doc["config"])).results_payload() == payload
+
     def test_results_payload_byte_identical(self):
         cfg = ScenarioConfig("second-law", seed=9, trials=20, epsilon_sweep=(0.0, 0.1))
         a = run_scenario(cfg).results_payload()
@@ -454,7 +482,7 @@ class TestSchemas:
         schema = json.loads((DOCS / "run_report.schema.json").read_text())
         for scenario in SCENARIOS:
             cfg = ScenarioConfig(scenario, trials=20)
-            doc = json.loads(run_scenario(cfg, trials_override=cfg.trials).to_json())
+            doc = json.loads(run_scenario(cfg).to_json())
             jsonschema.validate(doc, schema)
 
     def test_scenario_enum_is_the_table(self):
@@ -523,9 +551,9 @@ class TestPrecedence:
         "content, fragment",
         [
             ("[1, 2]", "must hold a JSON object, got list"),
-            ('{"trials": "10"}', "config key 'trials' must be an integer, got '10'"),
+            ('{"trials": "10"}', "config key 'trials' must be an integer or null, got '10'"),
             ('{"trails": 10}', "unknown key 'trails'"),
-            ('{"trials": true}', "config key 'trials' must be an integer, got True"),
+            ('{"trials": true}', "config key 'trials' must be an integer or null, got True"),
             ('{"epsilon_sweep": [0, "x"]}', "config key 'epsilon_sweep' must be a list of reals"),
         ],
         ids=["array", "string-trials", "unknown-key", "bool-trials", "sweep-entry"],
@@ -565,7 +593,7 @@ class TestPrecedence:
         assert err.startswith(f"qsim: error: cannot write report to {path}")
         assert err.count("\n") == 1
 
-    def test_config_file_trials_override_property_suite(self, capsys, monkeypatch, tmp_path):
+    def test_config_file_trials_reach_property_suite(self, capsys, monkeypatch, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"trials": 1}))
         code, out, _ = run_cli(["property-suite", "--config", str(cfg_path)], capsys, monkeypatch)

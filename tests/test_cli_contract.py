@@ -134,8 +134,8 @@ def cases(draw):
             config = {**(config or {}), key: value}
         else:
             env = value
-    if scenario == "property-suite" and "trials" not in flags and "trials" not in (config or {}):
-        flags["trials"] = 1  # the default counts take a second
+    if scenario == "property-suite" and "trials" not in flags and (config or {}).get("trials") is None:
+        flags["trials"] = 1  # the default counts (also a null trials) take a second
     argv = [scenario]
     for key, value in flags.items():
         if key == "uniform_weights":
